@@ -21,7 +21,7 @@ Commands mirror the workflows a downstream user needs:
     counterfactual protocols, and write a JSON run manifest.
 ``serve``
     The long-running service (DESIGN.md §10): ``serve run`` starts the
-    crash-tolerant daemon (spool/unix-socket intake, durable WAL
+    crash-tolerant daemon (unix/TCP socket intake, durable WAL
     journal, supervised workers, graceful drain on SIGTERM);
     ``serve submit`` sends job requests; ``serve fetch`` retrieves a
     completed job's checksum-verified result by job_id; ``serve
@@ -215,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="state directory (journal, results, manifests, lock)",
     )
     serve_run.add_argument(
-        "--spool", type=Path, default=None,
-        help="watched spool directory for JSONL job requests",
-    )
-    serve_run.add_argument(
         "--socket", type=Path, default=None,
         help="unix socket path for the request/response protocol",
     )
@@ -358,11 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="request JSON objects (default: read JSONL from stdin)",
     )
     serve_submit.add_argument(
-        "--spool", type=Path, default=None,
-        help="drop the requests into this spool directory",
-    )
-    serve_submit.add_argument(
-        "--socket", default=None, metavar="ENDPOINT",
+        "--socket", required=True, metavar="ENDPOINT",
         help="send over this endpoint and print each response: a unix "
         "socket path, 'unix:<path>', or 'tcp:<host>:<port>'",
     )
@@ -809,7 +801,6 @@ def _cmd_serve(args) -> int:
         is_fleet_state,
         serve_forever,
         serve_status,
-        submit_to_spool,
         submit_via_socket,
     )
 
@@ -843,7 +834,6 @@ def _cmd_serve(args) -> int:
             slos = tuple(parse_slo(spec) for spec in (args.slo or []))
             config = ServeConfig(
                 state_dir=args.state,
-                spool_dir=args.spool,
                 socket_path=args.socket,
                 bind=args.bind,
                 workers=args.workers,
@@ -883,9 +873,6 @@ def _cmd_serve(args) -> int:
         return 0 if response.get("status") == "ok" else 1
 
     if args.serve_command == "submit":
-        if args.spool is None and args.socket is None:
-            _log.error("serve.submit_needs_target")
-            return 2
         raw_lines = args.requests or [
             line for line in sys.stdin.read().splitlines() if line.strip()
         ]
@@ -897,32 +884,28 @@ def _cmd_serve(args) -> int:
         if not requests:
             _log.error("serve.no_requests")
             return 2
-        if args.socket is not None:
-            try:
-                if args.deadline is not None:
-                    from repro.serve import ResilientClient
+        try:
+            if args.deadline is not None:
+                from repro.serve import ResilientClient
 
-                    responses = ResilientClient(
-                        args.socket, deadline_sec=args.deadline
-                    ).submit(requests)
-                else:
-                    responses = submit_via_socket(args.socket, requests)
-            except (OSError, ConnectionError) as exc:
-                _log.error(
-                    "serve.socket_unreachable",
-                    socket=str(args.socket),
-                    error=str(exc),
-                )
-                return 2
-            for response in responses:
-                print(json.dumps(response))
-            return 0 if all(
-                r.get("status") in ("accepted", "duplicate")
-                for r in responses
-            ) else 1
-        path = submit_to_spool(args.spool, requests)
-        print(f"spooled {len(requests)} request(s) -> {path}")
-        return 0
+                responses = ResilientClient(
+                    args.socket, deadline_sec=args.deadline
+                ).submit(requests)
+            else:
+                responses = submit_via_socket(args.socket, requests)
+        except (OSError, ConnectionError) as exc:
+            _log.error(
+                "serve.socket_unreachable",
+                socket=str(args.socket),
+                error=str(exc),
+            )
+            return 2
+        for response in responses:
+            print(json.dumps(response))
+        return 0 if all(
+            r.get("status") in ("accepted", "duplicate")
+            for r in responses
+        ) else 1
 
     # serve status — fleet state dirs get the cross-shard roll-up
     if is_fleet_state(args.state):

@@ -6,6 +6,9 @@ Two halves that prove each other (DESIGN.md §9):
   traces (duplicate uids, clock skew, NaN bursts, truncation, field
   corruption), the runtime (worker crashes / kills / hangs, torn cache
   writes), and a replayable campaign (``repro chaos --seed 7``);
+* :mod:`repro.guard.drill` — the harness the process campaigns
+  (service / fleet / transport / storage) share: a real daemon or fleet
+  under test, the exactly-once ledger check, and the campaign report;
 * :mod:`repro.guard.repair` — the trace sanitize/repair pipeline behind
   the ``strict|repair|skip`` load policies;
 * :mod:`repro.guard.numeric` — training watchdogs: NaN/Inf update
@@ -30,10 +33,6 @@ Typical use::
 from repro.guard.chaos import (
     FILE_FAULTS,
     TRACE_FAULTS,
-    ChaosReport,
-    FleetChaosReport,
-    ServiceChaosReport,
-    TransportChaosReport,
     chaos_worker,
     inject_file_fault,
     inject_trace_fault,
@@ -44,6 +43,7 @@ from repro.guard.chaos import (
     run_transport_campaign,
     tear_cache_entry,
 )
+from repro.guard.drill import CampaignReport
 from repro.guard.netchaos import NetChaosConfig, NetChaosProxy
 from repro.guard.numeric import DivergenceGuard, sanitize_training_arrays
 from repro.guard.repair import (
@@ -58,12 +58,9 @@ from repro.guard.repair import (
 __all__ = [
     "FILE_FAULTS",
     "TRACE_FAULTS",
-    "ChaosReport",
-    "FleetChaosReport",
+    "CampaignReport",
     "NetChaosConfig",
     "NetChaosProxy",
-    "ServiceChaosReport",
-    "TransportChaosReport",
     "chaos_worker",
     "inject_file_fault",
     "inject_trace_fault",

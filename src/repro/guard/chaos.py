@@ -17,22 +17,37 @@ Three fault surfaces, mirroring where production runs actually break:
   trip the timeout, and torn cache writes.
 
 :func:`run_campaign` wires all three through the real batch pipeline
-and checks the guard invariants; the ``repro chaos`` CLI is a thin
-wrapper around it.
+and checks the guard invariants.  The process campaigns —
+:func:`run_service_campaign`, :func:`run_fleet_campaign`,
+:func:`run_transport_campaign` and :func:`run_storage_campaign` — do the
+same to real ``repro serve`` daemons and fleets (SIGKILL, lossy wires,
+disk faults) on the :mod:`repro.guard.drill` harness.  The ``repro
+chaos`` CLI is a thin wrapper around all five.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import math
 import os
 import random
+import signal
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
+from repro.guard.drill import (
+    CampaignReport,
+    DrillFailure,
+    ServiceUnderTest,
+    job_ids,
+    ledger_violations,
+    sleep_requests,
+    wait_for,
+)
 from repro.runtime.jobs import JobSpec
 from repro.trace.records import PacketRecord, Trace
 
@@ -55,16 +70,7 @@ def _clone(trace: Trace, records: List[PacketRecord]) -> Trace:
 
 
 def _copy_record(r: PacketRecord, **overrides) -> PacketRecord:
-    fields = {
-        "uid": r.uid,
-        "seq": r.seq,
-        "size": r.size,
-        "sent_at": r.sent_at,
-        "delivered_at": r.delivered_at,
-        "is_retransmit": r.is_retransmit,
-    }
-    fields.update(overrides)
-    return PacketRecord(**fields)
+    return dataclasses.replace(r, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -254,48 +260,6 @@ def tear_cache_entry(cache, key: str, keep_fraction: float = 0.5) -> Path:
 # ----------------------------------------------------------------------
 # The campaign: every surface through the real pipeline
 # ----------------------------------------------------------------------
-@dataclass
-class ChaosReport:
-    """Outcome of one seeded campaign; ``ok`` iff every guard held."""
-
-    seed: int
-    policy: str
-    injected: List[dict] = field(default_factory=list)
-    batch_statuses: Dict[str, str] = field(default_factory=dict)
-    drill_statuses: Dict[str, str] = field(default_factory=dict)
-    manifest_path: Optional[Path] = None
-    quarantined: int = 0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format_report(self) -> str:
-        lines = [
-            f"chaos campaign: seed={self.seed} policy={self.policy} "
-            f"faults={len(self.injected)}"
-        ]
-        for inj in self.injected:
-            lines.append(
-                f"  injected {inj['surface']:<6} {inj['fault']:<14} "
-                f"-> {inj['target']}"
-            )
-        for label, status in sorted(self.batch_statuses.items()):
-            lines.append(f"  batch  {status:<6} {label}")
-        for label, status in sorted(self.drill_statuses.items()):
-            lines.append(f"  drill  {status:<6} {label}")
-        lines.append(f"  cache quarantined entries: {self.quarantined}")
-        if self.manifest_path:
-            lines.append(f"  manifest: {self.manifest_path}")
-        if self.violations:
-            lines.append("GUARD VIOLATIONS:")
-            lines.extend(f"  !! {v}" for v in self.violations)
-        else:
-            lines.append("all guards held: every fault isolated or repaired")
-        return "\n".join(lines)
-
-
 def run_campaign(
     workdir,
     seed: int = 7,
@@ -305,7 +269,7 @@ def run_campaign(
     trace_faults: Optional[List[str]] = None,
     file_faults: Optional[List[str]] = None,
     runtime_faults: Optional[List[str]] = None,
-) -> ChaosReport:
+) -> CampaignReport:
     """Run the full seeded fault campaign through the real pipeline.
 
     1. Generate a small clean dataset; corrupt one trace per fault.
@@ -329,31 +293,25 @@ def run_campaign(
     workdir = Path(workdir)
     data_dir = workdir / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    report = ChaosReport(seed=seed, policy=policy)
+    report = CampaignReport(
+        "guards", seed, claim="every fault isolated or repaired"
+    )
+    report.phase("run")["policy"] = policy
+    injected = report.phase("injected")
+    if trace_faults is None:
+        trace_faults = list(TRACE_FAULTS)
+    if file_faults is None:
+        file_faults = list(FILE_FAULTS)
+    if runtime_faults is None:
+        runtime_faults = ["crash", "kill", "hang"]
 
-    trace_faults = (
-        list(TRACE_FAULTS) if trace_faults is None else list(trace_faults)
-    )
-    file_faults = (
-        list(FILE_FAULTS) if file_faults is None else list(file_faults)
-    )
-    runtime_faults = (
-        ["crash", "kill", "hang"]
-        if runtime_faults is None
-        else list(runtime_faults)
-    )
-
-    # ------------------------------------------------------------------
     # Phase 1: corrupted traces through the batch pipeline
-    # ------------------------------------------------------------------
     plan: List[tuple] = [("clean", None)]
     plan += [("trace", name) for name in trace_faults]
     plan += [("file", name) for name in file_faults]
     for i, (surface, name) in enumerate(plan):
-        run = generate_run(
-            seed=seed + i, protocol="cubic", duration=duration
-        )
-        trace = run.trace
+        trace = generate_run(seed=seed + i, protocol="cubic",
+                             duration=duration).trace
         fmt = "npz" if (surface, name) == ("file", "truncate") else "jsonl"
         path = data_dir / f"{i:02d}_{name or 'clean'}.{fmt}"
         if surface == "trace":
@@ -362,20 +320,14 @@ def run_campaign(
         if surface == "file":
             inject_file_fault(name, path, seed=seed + 100 + i)
         if surface != "clean":
-            report.injected.append(
-                {"surface": surface, "fault": name, "target": path.name}
-            )
+            injected[f"{surface}/{name}"] = path.name
 
     cache_dir = workdir / "cache"
     try:
         results, manifest, manifest_path = run_batch(
-            sorted(data_dir.iterdir()),
-            protocols=["cubic"],
-            duration=duration,
-            seed=seed,
-            cache_dir=cache_dir,
-            manifest_dir=workdir / "manifests",
-            repair_policy=policy,
+            sorted(data_dir.iterdir()), protocols=["cubic"],
+            duration=duration, seed=seed, cache_dir=cache_dir,
+            manifest_dir=workdir / "manifests", repair_policy=policy,
             config=ExecutorConfig(workers=workers, timeout_sec=120.0),
         )
     except Exception as exc:  # noqa: BLE001 — escaping IS the violation
@@ -383,47 +335,41 @@ def run_campaign(
             f"run_batch raised instead of isolating the fault: {exc!r}"
         )
         return report
-    report.manifest_path = manifest_path
+    report.phase("run")["manifest"] = manifest_path
+    batch = report.phase("batch")
     for result in results:
-        report.batch_statuses[result.spec.label] = result.status
+        batch[Path(result.spec.params["trace_path"]).name] = result.status
 
     jobs = manifest.to_dict()["jobs"]
-    if len(jobs) != len(plan):
-        report.violations.append(
-            f"manifest has {len(jobs)} jobs for {len(plan)} traces "
-            "(jobs went missing)"
-        )
+    report.check(
+        len(jobs) == len(plan),
+        f"manifest has {len(jobs)} jobs for {len(plan)} traces "
+        "(jobs went missing)",
+    )
     for job in jobs:
-        if job["status"] not in ("ok", "failed"):
-            report.violations.append(
-                f"job {job['label']} has status {job['status']!r} "
-                "(must be ok|failed)"
-            )
-    clean_label = f"simulate:{data_dir / '00_clean.jsonl'}"
-    if report.batch_statuses.get(clean_label) != "ok":
-        report.violations.append("the clean trace's job did not succeed")
+        report.check(
+            job["status"] in ("ok", "failed"),
+            f"job {job['label']} has status {job['status']!r} "
+            "(must be ok|failed)",
+        )
+    report.check(batch.get("00_clean.jsonl") == "ok",
+                 "the clean trace's job did not succeed")
     if policy == "repair":
         # Every record-fault trace must have been repaired into a
         # successful job; only byte-destroyed files may fail.
         for result in results:
             name = Path(result.spec.params["trace_path"]).stem.split("_", 1)[1]
-            if name in TRACE_FAULTS and result.status != "ok":
-                report.violations.append(
-                    f"repair policy did not recover trace fault {name!r}: "
-                    f"{result.error.message if result.error else ''}"
-                )
+            report.check(
+                name not in TRACE_FAULTS or result.status == "ok",
+                f"repair policy did not recover trace fault {name!r}: "
+                f"{result.error.message if result.error else ''}",
+            )
 
-    # ------------------------------------------------------------------
     # Phase 2: executor drills, one fault per drill
-    # ------------------------------------------------------------------
-    expected = {"crash": "failed", "kill": "failed", "hang": "failed"}
+    drills = report.phase("drill")
     for fault in runtime_faults:
-        spec = make_chaos_job(
-            fault,
-            timeout_sec=1.0 if fault == "hang" else None,
-            hang_sec=30.0,
-            seed=seed,
-        )
+        spec = make_chaos_job(fault, hang_sec=30.0, seed=seed,
+                              timeout_sec=1.0 if fault == "hang" else None)
         executor = BatchExecutor(
             ExecutorConfig(workers=max(2, workers), timeout_sec=60.0,
                            max_attempts=2)
@@ -435,61 +381,42 @@ def run_campaign(
                 f"executor raised for fault {fault!r}: {exc!r}"
             )
             continue
-        if len(drill) != 1:
-            report.violations.append(
-                f"executor drill {fault!r} lost its job result"
-            )
+        if not report.check(len(drill) == 1,
+                            f"executor drill {fault!r} lost its job result"):
             continue
-        result = drill[0]
-        report.drill_statuses[spec.label] = result.status
-        if result.status != expected.get(fault, "ok"):
-            report.violations.append(
-                f"fault {fault!r} resolved to {result.status!r}, "
-                f"expected {expected.get(fault, 'ok')!r}"
-            )
+        drills[spec.label] = drill[0].status
+        report.check(  # crash, kill and hang must all fail the job
+            drill[0].status == "failed",
+            f"fault {fault!r} resolved to {drill[0].status!r}, "
+            "expected 'failed'",
+        )
 
-    # ------------------------------------------------------------------
     # Phase 3: torn cache write -> quarantine + transparent re-fit
-    # ------------------------------------------------------------------
     cache = ProfileCache(cache_dir)
     key = cache.key_for(
         data_dir / "00_clean.jsonl", fit_kwargs=None, repair_policy=policy
     )
-    if cache.path_for(key).exists():
+    if report.check(cache.path_for(key).exists(),
+                    "expected a cache entry for the clean trace to tear"):
         tear_cache_entry(cache, key)
-        report.injected.append(
-            {"surface": "cache", "fault": "torn_write", "target": key[:12]}
-        )
-        if cache.get_profile(key) is not None:
-            report.violations.append(
-                "torn cache entry was served instead of quarantined"
-            )
+        injected["cache/torn_write"] = key[:12]
+        report.check(cache.get_profile(key) is None,
+                     "torn cache entry was served instead of quarantined")
         refit, hit = cache.fit_cached(
             data_dir / "00_clean.jsonl", repair_policy=policy
         )
-        if hit or refit is None:
-            report.violations.append(
-                "cache did not transparently re-fit after quarantine"
-            )
-    else:
-        report.violations.append(
-            "expected a cache entry for the clean trace to tear"
-        )
-    quarantine = cache.root / "quarantine"
-    report.quarantined = (
-        len(list(quarantine.glob("*.json"))) if quarantine.exists() else 0
-    )
-    if report.quarantined < 1:
-        report.violations.append("quarantine directory is empty after tear")
+        report.check(not hit and refit is not None,
+                     "cache did not transparently re-fit after quarantine")
+    quarantined = len(list((cache.root / "quarantine").glob("*.json")))
+    report.phase("cache")["quarantined"] = quarantined
+    report.check(quarantined >= 1, "quarantine directory is empty after tear")
 
-    # ------------------------------------------------------------------
     # Phase 4: NaN row in a sweep fleet -> isolated, not batch poison
-    # ------------------------------------------------------------------
     _sweep_nan_drill(report, seed=seed)
     return report
 
 
-def _sweep_nan_drill(report: ChaosReport, seed: int) -> None:
+def _sweep_nan_drill(report: CampaignReport, seed: int) -> None:
     """Poison one scenario's parameter row in a packed sweep fleet and
     assert the vectorized core isolates it: the poisoned scenario comes
     back ``faulted`` with a reason, and every other scenario's summary
@@ -498,19 +425,10 @@ def _sweep_nan_drill(report: ChaosReport, seed: int) -> None:
 
     from repro.sweep import ScenarioGrid, SweepPath, pack_fleet, run_fleet
 
-    grid = ScenarioGrid(
-        paths=(
-            SweepPath(
-                bandwidth_bytes_per_sec=1.25e6,
-                propagation_delay=0.02,
-                buffer_bytes=50_000.0,
-                label="chaos-sweep",
-            ),
-        ),
-        protocols=("cubic", "reno", "bbr"),
-        seeds=(seed, seed + 1),
-        duration=2.0,
-    )
+    path = SweepPath(bandwidth_bytes_per_sec=1.25e6, propagation_delay=0.02,
+                     buffer_bytes=50_000.0, label="chaos-sweep")
+    grid = ScenarioGrid(paths=(path,), protocols=("cubic", "reno", "bbr"),
+                        seeds=(seed, seed + 1), duration=2.0)
     scenarios = grid.expand()
     clean = run_fleet(pack_fleet(scenarios))
 
@@ -518,12 +436,8 @@ def _sweep_nan_drill(report: ChaosReport, seed: int) -> None:
     rng = np.random.default_rng(seed)
     victim = int(rng.integers(poisoned_fleet.n_scenarios))
     poisoned_fleet.service_rate[victim, :] = np.nan
-    report.injected.append(
-        {
-            "surface": "sweep",
-            "fault": "nan_row",
-            "target": poisoned_fleet.scenario_ids[victim][:12],
-        }
+    report.phase("injected")["sweep/nan_row"] = (
+        poisoned_fleet.scenario_ids[victim][:12]
     )
     try:
         poisoned = run_fleet(poisoned_fleet)
@@ -534,151 +448,90 @@ def _sweep_nan_drill(report: ChaosReport, seed: int) -> None:
         return
 
     bad = poisoned.scenarios[victim]
-    if bad.status != "faulted" or not bad.fault_reason:
-        report.violations.append(
-            "poisoned sweep scenario was not reported as faulted "
-            f"(status={bad.status!r}, reason={bad.fault_reason!r})"
-        )
+    report.check(
+        bad.status == "faulted" and bad.fault_reason,
+        "poisoned sweep scenario was not reported as faulted "
+        f"(status={bad.status!r}, reason={bad.fault_reason!r})",
+    )
     for i, (before, after) in enumerate(
         zip(clean.scenarios, poisoned.scenarios)
     ):
         if i == victim:
             continue
-        if after.status != "ok":
-            report.violations.append(
-                f"NaN row poisoned neighbour scenario {after.label!r} "
-                f"(status={after.status!r})"
-            )
-        elif (
-            after.mean_rate_mbps != before.mean_rate_mbps
-            or after.mean_delay_ms != before.mean_delay_ms
-            or after.p95_delay_ms != before.p95_delay_ms
-            or after.loss_percent != before.loss_percent
+        if not report.check(
+            after.status == "ok",
+            f"NaN row poisoned neighbour scenario {after.label!r} "
+            f"(status={after.status!r})",
         ):
-            report.violations.append(
-                f"NaN row changed neighbour scenario {after.label!r} "
-                "summaries (lockstep isolation broken)"
-            )
+            continue
+        report.check(
+            after.mean_rate_mbps == before.mean_rate_mbps
+            and after.mean_delay_ms == before.mean_delay_ms
+            and after.p95_delay_ms == before.p95_delay_ms
+            and after.loss_percent == before.loss_percent,
+            f"NaN row changed neighbour scenario {after.label!r} "
+            "summaries (lockstep isolation broken)",
+        )
+
+
+# ----------------------------------------------------------------------
+# The process campaigns: real daemons and fleets, real signals
+# ----------------------------------------------------------------------
+def _serve(workdir: Path, log_name: str, timeout_sec: float,
+           bind: Optional[str] = None, shards: int = 0,
+           workers: int = 2) -> ServiceUnderTest:
+    """``repro serve run`` (``serve fleet`` when ``shards``) over
+    ``<workdir>/state``, on ``bind`` or a unix socket in the state dir."""
+    state = workdir / "state"
+    if shards:
+        argv = ["serve", "fleet", "--shards", shards,
+                "--workers-per-shard", "1", "--supervise-interval", "0.1",
+                "--bind", bind or f"unix:{state / 'fleet.sock'}"]
+    else:
+        argv = ["serve", "run", "--workers", workers,
+                "--poll-interval", "0.05",
+                "--bind", bind or f"unix:{state / 'serve.sock'}"]
+    argv += ["--state", state, "--snapshot-interval", "0.5",
+             "--max-runtime-sec", "150"]
+    return ServiceUnderTest(argv, workdir / log_name,
+                            ready_timeout=timeout_sec)
+
+
+def _drain(report: CampaignReport, svc: ServiceUnderTest,
+           facts: Dict[str, Any], label: str, timeout_sec: float = 30.0):
+    """SIGTERM ``svc``; record its exit code, which must be 0."""
+    code = facts["drain_exit_code"] = svc.drain(timeout_sec)
+    report.check(code == 0, f"{label}drain exited {code}, expected 0")
+
+
+def _fetch_all(report: CampaignReport, endpoint: str, ids: List[str],
+               timeout_sec: float, label: str, fleet: bool = False) -> int:
+    """Fetch (and wait for) every job's result; returns how many came
+    back ``ok``.  Through a fleet router each must name its shard."""
+    from repro.serve.transport import ResilientClient
+
+    client = ResilientClient(endpoint, deadline_sec=timeout_sec)
+    fetched_ok = 0
+    for job_id in ids:
+        response = client.fetch(job_id, wait=True)
+        name = f"{label}fetch({job_id[:12]})"
+        if not report.check(
+            response.get("status") == "ok",
+            f"{name} ended {response.get('status')!r}: {response}",
+        ):
+            continue
+        if fleet:
+            report.check(response.get("shard"),
+                         f"{name} response is missing its shard annotation")
+        if report.check((response.get("result") or {}).get("status") == "ok",
+                        f"{name} served a non-ok payload"):
+            fetched_ok += 1
+    return fetched_ok
 
 
 # ----------------------------------------------------------------------
 # The service campaign: SIGKILL the daemon, demand exactly-once
 # ----------------------------------------------------------------------
-@dataclass
-class ServiceChaosReport:
-    """Outcome of one serve-daemon kill/recover campaign."""
-
-    seed: int
-    jobs: int
-    kill_signal: str = "SIGKILL"
-    completed_before_kill: int = 0
-    recovered: int = 0
-    drain_exit_code: Optional[int] = None
-    manifest_path: Optional[Path] = None
-    flight_dump: Optional[Path] = None
-    fleet: Optional["FleetChaosReport"] = None
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and (self.fleet is None or self.fleet.ok)
-
-    def format_report(self) -> str:
-        lines = [
-            f"service chaos campaign: seed={self.seed} jobs={self.jobs}",
-            f"  completed before {self.kill_signal}: "
-            f"{self.completed_before_kill}",
-            f"  jobs recovered after restart: {self.recovered}",
-            f"  drain (SIGTERM) exit code: {self.drain_exit_code}",
-        ]
-        if self.manifest_path:
-            lines.append(f"  manifest: {self.manifest_path}")
-        if self.flight_dump:
-            lines.append(f"  flight recorder dump: {self.flight_dump}")
-        if self.violations:
-            lines.append("GUARD VIOLATIONS:")
-            lines.extend(f"  !! {v}" for v in self.violations)
-        else:
-            lines.append(
-                "all guards held: zero lost jobs, zero duplicate "
-                "completions, flight dump on lease kill, graceful drain"
-            )
-        if self.fleet is not None:
-            lines.append(self.fleet.format_report())
-        return "\n".join(lines)
-
-
-def _spawn_daemon(workdir: Path, workers: int, log_name: str):
-    """Start ``repro serve run`` as a real child process."""
-    import subprocess
-    import sys
-
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(workdir / log_name, "w")
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "run",
-            "--state",
-            str(workdir / "state"),
-            "--spool",
-            str(workdir / "spool"),
-            "--workers",
-            str(workers),
-            "--poll-interval",
-            "0.05",
-            "--max-runtime-sec",
-            "120",
-        ],
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        env=env,
-    )
-
-
-def _wait_for(predicate, timeout_sec: float, poll: float = 0.1) -> bool:
-    deadline = time.monotonic() + timeout_sec
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(poll)
-    return False
-
-
-def _find_flight_dump(state: Path) -> Optional[Path]:
-    """Newest *valid* ``lease_killed`` flight dump under <state>/obs."""
-    candidates = sorted((state / "obs").glob("flight-*.json"), reverse=True)
-    for path in candidates:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue  # possibly mid-write; a later poll retries
-        if (
-            isinstance(payload, dict)
-            and payload.get("reason") == "lease_killed"
-            and isinstance(payload.get("events"), list)
-            and isinstance(payload.get("context"), dict)
-        ):
-            return path
-    return None
-
-
-def _daemon_ready(state: Path, pid: int) -> bool:
-    """True once the daemon wrote its pid file — which it does only
-    after its signal handlers are installed, so SIGTERM is safe."""
-    try:
-        return int((state / "serve.pid").read_text().strip()) == pid
-    except (OSError, ValueError):
-        return False
-
-
 def run_service_campaign(
     workdir,
     seed: int = 7,
@@ -687,303 +540,104 @@ def run_service_campaign(
     kill_after_completions: int = 2,
     sleep_sec: float = 0.4,
     timeout_sec: float = 60.0,
-) -> ServiceChaosReport:
+) -> CampaignReport:
     """SIGKILL the serve daemon mid-run and assert full recovery.
 
     1. Start the daemon over an empty state dir; submit ``jobs`` slow
-       (but well-behaved) drill jobs through the spool.
+       (but well-behaved) drill jobs over its unix socket.
     2. Once ``kill_after_completions`` jobs have completed, SIGKILL the
        daemon — leases are orphaned mid-flight by construction.
     3. Restart the daemon over the same state dir: the journal replay
        must requeue every non-terminal job and run them to completion.
+       A hung job's lease is then deadline-killed, which must leave a
+       ``lease_killed`` flight dump.
     4. SIGTERM for a graceful drain: exit code 0, a complete manifest.
+    5. The same kill drill against a routed 3-shard fleet
+       (:func:`run_fleet_campaign`), as a sub-report.
 
-    Guard invariants checked: **no lost jobs** (every submitted job_id
-    ends ``completed``), **no duplicate completions** (each job_id has
-    exactly one ``completed`` record across the whole journal), and a
+    Guard invariants: **no lost jobs**, **no duplicate completions**
+    (one ``completed`` record per job across daemon generations), and a
     clean drain.
     """
-    import signal as _signal
-
-    from repro.serve.client import serve_status, submit_to_spool
     from repro.serve.journal import JobJournal
-    from repro.serve.requests import normalize_request
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    spool = workdir / "spool"
     state = workdir / "state"
-    report = ServiceChaosReport(seed=seed, jobs=jobs)
-
-    requests = [
-        {
-            "kind": "chaos",
-            "params": {"fault": "sleep", "sleep_sec": sleep_sec, "idx": i,
-                       "seed": seed},
-            "label": f"drill:sleep:{i}",
-            "class": "drill",
-            "timeout_sec": 30.0,
-        }
-        for i in range(jobs)
-    ]
-
-    def completed_count() -> int:
-        state_now = JobJournal.read_state(state / "journal")
-        return sum(
-            1 for j in state_now.jobs.values() if j.status == "completed"
-        )
-
-    daemon = _spawn_daemon(workdir, workers, "daemon-1.log")
-    try:
-        if not _wait_for(
-            lambda: _daemon_ready(state, daemon.pid), timeout_sec
-        ):
-            report.violations.append(
-                f"daemon never became ready within {timeout_sec}s"
-            )
-            return report
-        submit_to_spool(spool, requests)
-        if not _wait_for(
-            lambda: completed_count() >= kill_after_completions, timeout_sec
-        ):
-            report.violations.append(
-                f"daemon completed {completed_count()}/{jobs} jobs but never "
-                f"reached {kill_after_completions} within {timeout_sec}s"
-            )
-            return report
-        report.completed_before_kill = completed_count()
-        daemon.send_signal(_signal.SIGKILL)
-        daemon.wait(timeout=10)
-        _note_injection("service", "sigkill", f"pid {daemon.pid}")
-    finally:
-        if daemon.poll() is None:  # never leak a live daemon
-            daemon.kill()
-            daemon.wait(timeout=10)
-
-    # ------------------------------------------------------------------
-    # Restart: replay must requeue the orphans and finish everything.
-    # ------------------------------------------------------------------
-    daemon = _spawn_daemon(workdir, workers, "daemon-2.log")
-    try:
-        # SIGTERM before the restarted daemon installs its handlers
-        # would kill it with the default disposition (exit -15) — wait
-        # for readiness before asking anything of it.
-        if not _wait_for(
-            lambda: _daemon_ready(state, daemon.pid), timeout_sec
-        ):
-            report.violations.append(
-                f"restarted daemon never became ready within {timeout_sec}s"
-            )
-            return report
-        if not _wait_for(lambda: completed_count() >= jobs, timeout_sec):
-            status = serve_status(state)
-            report.violations.append(
-                f"after restart only {completed_count()}/{jobs} jobs "
-                f"completed within {timeout_sec}s: {status['counts']}"
-            )
-            return report
-        report.recovered = jobs - report.completed_before_kill
-        # --------------------------------------------------------------
-        # Flight-recorder phase: a hung lease is SIGKILLed by its
-        # deadline, which must leave a parseable flight dump behind.
-        # --------------------------------------------------------------
-        hang_request = {
-            "kind": "chaos",
-            "params": {"fault": "hang", "hang_sec": 30.0, "seed": seed},
-            "label": "hangdrill:flight",
-            "class": "hangdrill",
-            "timeout_sec": 1.5,
-        }
-        hang_id = normalize_request(hang_request)["job_id"]
-        submit_to_spool(spool, [hang_request])
-
-        def hang_failed() -> bool:
-            state_now = JobJournal.read_state(state / "journal")
-            job = state_now.jobs.get(hang_id)
-            return job is not None and job.status == "failed"
-
-        if not _wait_for(hang_failed, timeout_sec):
-            report.violations.append(
-                "hung lease was not deadline-killed (journal never "
-                "recorded it failed)"
-            )
-        else:
-            _note_injection("service", "hang", f"job {hang_id[:12]}")
-            flight_ok = _wait_for(
-                lambda: _find_flight_dump(state) is not None, 15.0
-            )
-            dump = _find_flight_dump(state)
-            if not flight_ok or dump is None:
-                report.violations.append(
-                    "no valid flight-recorder dump appeared in "
-                    f"{state / 'obs'} after the lease SIGKILL"
-                )
-            else:
-                report.flight_dump = dump
-        daemon.send_signal(_signal.SIGTERM)
-        try:
-            report.drain_exit_code = daemon.wait(timeout=30)
-        except Exception:  # noqa: BLE001
-            report.violations.append("daemon did not exit after SIGTERM")
-            return report
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=10)
-
-    if report.drain_exit_code != 0:
-        report.violations.append(
-            f"graceful drain exited {report.drain_exit_code}, expected 0"
-        )
-
-    # ------------------------------------------------------------------
-    # The exactly-once ledger check.
-    # ------------------------------------------------------------------
-    final = JobJournal.read_state(state / "journal")
-    submitted_ids = {normalize_request(r)["job_id"] for r in requests}
-    journal_ids = set(final.jobs)
-    lost = submitted_ids - journal_ids
-    if lost:
-        report.violations.append(f"{len(lost)} submitted job(s) left no journal trace")
-    for job_id in submitted_ids & journal_ids:
-        job = final.jobs[job_id]
-        if job.status != "completed":
-            report.violations.append(
-                f"job {job.request.get('label')} ended {job.status!r}, "
-                "expected completed"
-            )
-        if job.completions != 1:
-            report.violations.append(
-                f"job {job.request.get('label')} has {job.completions} "
-                "completed records (exactly-once violated)"
-            )
-        result_file = state / "results" / f"{job_id}.json"
-        if not result_file.exists():
-            report.violations.append(
-                f"job {job.request.get('label')} has no result artifact"
-            )
-
-    manifests = sorted((state / "manifests").glob("manifest-*.json"))
-    if not manifests:
-        report.violations.append("drain did not write a run manifest")
-    else:
-        report.manifest_path = manifests[-1]
-        manifest = json.loads(report.manifest_path.read_text())
-        row_ids = {j["job_id"] for j in manifest["jobs"]}
-        if not submitted_ids <= row_ids:
-            report.violations.append("manifest is missing submitted jobs")
-        not_ok = [
-            j["label"]
-            for j in manifest["jobs"]
-            if j["job_id"] in submitted_ids and j["status"] != "ok"
-        ]
-        if not_ok:
-            report.violations.append(
-                f"manifest rows not ok after drain: {not_ok}"
-            )
-
-    # ------------------------------------------------------------------
-    # Fleet phase: the same kill drill against a routed 3-shard fleet.
-    # ------------------------------------------------------------------
-    report.fleet = run_fleet_campaign(
-        workdir / "fleet", seed=seed, timeout_sec=timeout_sec + 30
+    report = CampaignReport(
+        "service", seed,
+        claim="zero lost jobs, zero duplicate completions, flight dump "
+        "on lease kill, graceful drain",
     )
+    requests = sleep_requests("drill:sleep", jobs, seed, sleep_sec)
+    ids = job_ids(requests)
+    with report.guard():
+        kill = report.phase("sigkill")
+        kill["jobs"] = jobs
+        with _serve(workdir, "daemon-1.log", timeout_sec,
+                    workers=workers) as svc:
+            svc.submit(requests)
+            kill["completed_before_kill"] = svc.wait_completed(
+                ids, timeout_sec, at_least=kill_after_completions
+            )
+            svc.kill()
+            _note_injection("service", "sigkill", f"pid {svc.pid}")
+
+        # Restart: replay must requeue the orphans and finish everything.
+        restart = report.phase("restart")
+        with _serve(workdir, "daemon-2.log", timeout_sec,
+                    workers=workers) as svc:
+            svc.wait_completed(ids, timeout_sec)
+            restart["recovered"] = jobs - kill["completed_before_kill"]
+            # Flight-recorder phase: a hung lease is SIGKILLed by its
+            # deadline, which must leave a parseable flight dump behind.
+            hang_request = {
+                "kind": "chaos", "label": "hangdrill:flight",
+                "params": {"fault": "hang", "hang_sec": 30.0, "seed": seed},
+                "class": "hangdrill", "timeout_sec": 1.5,
+            }
+            [hang_id] = job_ids([hang_request])
+            svc.submit([hang_request])
+
+            def hang_failed() -> bool:
+                journal = JobJournal.read_state(state / "journal")
+                job = journal.jobs.get(hang_id)
+                return job is not None and job.status == "failed"
+
+            if report.check(wait_for(hang_failed, timeout_sec),
+                            "hung lease was not deadline-killed (journal "
+                            "never recorded it failed)"):
+                _note_injection("service", "hang", f"job {hang_id[:12]}")
+                restart["flight_dump"] = svc.flight_dump("lease_killed")
+                report.check(restart["flight_dump"],
+                             "no valid flight-recorder dump appeared in "
+                             f"{state / 'obs'} after the lease SIGKILL")
+            _drain(report, svc, restart, "graceful ")
+
+        report.violations += ledger_violations(svc.journal_dirs(), ids)
+        for job_id in ids:
+            report.check((state / "results" / f"{job_id}.json").exists(),
+                         f"job {job_id[:12]} has no result artifact")
+        manifests = sorted((state / "manifests").glob("manifest-*.json"))
+        if not manifests:
+            raise DrillFailure("drain did not write a run manifest")
+        restart["manifest"] = manifests[-1]
+        rows = json.loads(manifests[-1].read_text())["jobs"]
+        report.check(set(ids) <= {row["job_id"] for row in rows},
+                     "manifest is missing submitted jobs")
+        not_ok = [row["label"] for row in rows
+                  if row["job_id"] in ids and row["status"] != "ok"]
+        report.check(not not_ok, f"manifest rows not ok after drain: {not_ok}")
+
+    report.sub.append(run_fleet_campaign(
+        workdir / "fleet", seed=seed, timeout_sec=timeout_sec + 30
+    ))
     return report
 
 
 # ----------------------------------------------------------------------
 # The fleet campaign: SIGKILL one shard, demand exactly-once fleet-wide
 # ----------------------------------------------------------------------
-@dataclass
-class FleetChaosReport:
-    """Outcome of one shard-kill/handoff campaign against a fleet."""
-
-    seed: int
-    shards: int
-    jobs: int
-    bind: Optional[str] = None
-    victim: Optional[str] = None
-    completed_before_kill: int = 0
-    moved: int = 0
-    readmitted: bool = False
-    drain_exit_code: Optional[int] = None
-    rollup_counters_checked: int = 0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format_report(self) -> str:
-        lines = [
-            f"fleet chaos campaign: seed={self.seed} "
-            f"shards={self.shards} jobs={self.jobs}"
-            + (f" bind={self.bind}" if self.bind else ""),
-            f"  victim shard: {self.victim} "
-            f"(killed after {self.completed_before_kill} completions)",
-            f"  jobs handed off to survivors: {self.moved}",
-            f"  victim re-admitted to the ring: {self.readmitted}",
-            f"  drain (SIGTERM) exit code: {self.drain_exit_code}",
-            f"  roll-up counters verified against per-shard sums: "
-            f"{self.rollup_counters_checked}",
-        ]
-        if self.violations:
-            lines.append("GUARD VIOLATIONS:")
-            lines.extend(f"  !! {v}" for v in self.violations)
-        else:
-            lines.append(
-                "all guards held: zero lost jobs fleet-wide, zero "
-                "double completions, roll-up equals per-shard sums"
-            )
-        return "\n".join(lines)
-
-
-def _spawn_fleet(
-    workdir: Path,
-    state: Path,
-    shards: int,
-    log_name: str,
-    bind: Optional[str] = None,
-):
-    """Start ``repro serve fleet`` as a real child process."""
-    import subprocess
-    import sys
-
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(workdir / log_name, "w")
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "serve",
-        "fleet",
-        "--state",
-        str(state),
-        "--shards",
-        str(shards),
-        "--workers-per-shard",
-        "1",
-        "--snapshot-interval",
-        "0.5",
-        "--supervise-interval",
-        "0.1",
-        "--max-runtime-sec",
-        "150",
-    ]
-    if bind is not None:
-        argv += ["--bind", bind]
-    return subprocess.Popen(
-        argv,
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        env=env,
-    )
-
-
 def run_fleet_campaign(
     workdir,
     seed: int = 7,
@@ -993,332 +647,108 @@ def run_fleet_campaign(
     sleep_sec: float = 0.5,
     timeout_sec: float = 90.0,
     bind: Optional[str] = None,
-) -> FleetChaosReport:
+) -> CampaignReport:
     """SIGKILL one shard of a routed fleet mid-run; assert exactly-once.
 
-    1. Start ``repro serve fleet --shards N`` over an empty state dir
-       and submit ``jobs`` slow drill jobs through the fleet endpoint
-       (recording which shard accepted each).  ``bind`` (e.g.
-       ``tcp:127.0.0.1:0``) runs the whole fleet — router *and* shard
-       forwarding — over TCP; the drill reads the actually-bound
-       endpoint from ``<state>/fleet.endpoint``.
+    1. Start ``repro serve fleet --shards N`` (over TCP when ``bind`` is
+       e.g. ``tcp:127.0.0.1:0``) and submit ``jobs`` slow drill jobs
+       through the fleet endpoint.
     2. Once ``kill_after_completions`` jobs completed fleet-wide,
-       SIGKILL the shard that owns the most jobs.  The fleet must mark
-       it dead, hand its unfinished jobs to the survivors
-       (journal-first ``moved`` tombstones), and respawn it.
-    3. Wait for every submitted job to complete *somewhere*, and for the
-       victim to be re-admitted to the ring.
-    4. SIGTERM the fleet for a graceful drain (exit 0).
+       SIGKILL the shard that owns the most jobs: the fleet must hand
+       its unfinished jobs to the survivors (journal-first ``moved``
+       tombstones), respawn it, and re-admit it to the ring.
+    3. Every job completes *somewhere*; SIGTERM drains the fleet (exit 0).
 
-    Guard invariants: **zero lost jobs fleet-wide** (every job_id
-    completed on some shard), **zero double completions** (the sum of
-    ``completed`` records across every shard journal is one per job),
-    and the `serve status` roll-up counters equal the sums of the
-    per-shard snapshots.
+    Guard invariants: **zero lost jobs fleet-wide**, **zero double
+    completions** (one ``completed`` record per job summed over every
+    shard journal), and `serve status` roll-up counters equal to the
+    sums of the per-shard snapshots.
     """
-    import signal as _signal
-
     from repro.obs.summarize import merge_metrics_files
-    from repro.serve.client import query_daemon, submit_via_socket
+    from repro.serve.client import query_daemon
     from repro.serve.journal import JobJournal
-    from repro.serve.requests import normalize_request
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     state = workdir / "state"
-    report = FleetChaosReport(seed=seed, shards=shards, jobs=jobs, bind=bind)
-
-    requests = [
-        {
-            "kind": "chaos",
-            "params": {"fault": "sleep", "sleep_sec": sleep_sec, "idx": i,
-                       "seed": seed},
-            "label": f"fleetdrill:sleep:{i}",
-            "class": "drill",
-            "timeout_sec": 30.0,
-        }
-        for i in range(jobs)
-    ]
-    submitted_ids = {normalize_request(r)["job_id"] for r in requests}
-
-    def shard_dirs() -> List[Path]:
-        return sorted(state.glob("shard-*"))
-
-    def fleet_completions() -> Dict[str, int]:
-        done: Dict[str, int] = {}
-        for shard_dir in shard_dirs():
-            journal_state = JobJournal.read_state(shard_dir / "journal")
-            for job_id, job in journal_state.jobs.items():
-                if job_id in submitted_ids:
-                    done[job_id] = done.get(job_id, 0) + job.completions
-        return done
-
-    def completed_count() -> int:
-        return sum(1 for n in fleet_completions().values() if n >= 1)
-
-    def fleet_ready() -> bool:
-        # The manager publishes fleet.endpoint (the actually-bound
-        # router endpoint, needed for tcp:...:0) before fleet.pid.
-        if not (state / "fleet.pid").exists():
-            return False
-        if not (state / "fleet.endpoint").exists():
-            return False
-        return all(
-            (state / f"shard-{i}" / "serve.pid").exists()
-            for i in range(shards)
-        )
-
-    def fleet_endpoint() -> str:
-        return (state / "fleet.endpoint").read_text().strip()
-
-    fleet = _spawn_fleet(workdir, state, shards, "fleet.log", bind=bind)
-    try:
-        if not _wait_for(fleet_ready, timeout_sec):
-            report.violations.append(
-                f"fleet never became ready within {timeout_sec}s"
-            )
-            return report
-        responses = submit_via_socket(fleet_endpoint(), requests)
-        not_accepted = [
-            r for r in responses if r.get("status") != "accepted"
-        ]
-        if not_accepted:
-            report.violations.append(
-                f"fleet rejected {len(not_accepted)} submissions: "
-                f"{not_accepted[:3]}"
-            )
-            return report
-        owned: Dict[str, int] = {}
-        for response in responses:
-            owned[response["shard"]] = owned.get(response["shard"], 0) + 1
-        victim = max(owned, key=lambda name: owned[name])
-        report.victim = victim
-        victim_pid = int((state / victim / "serve.pid").read_text())
-
-        if not _wait_for(
-            lambda: completed_count() >= kill_after_completions, timeout_sec
-        ):
-            report.violations.append(
-                f"fleet completed {completed_count()}/{jobs} jobs but "
-                f"never reached {kill_after_completions} within "
-                f"{timeout_sec}s"
-            )
-            return report
-        report.completed_before_kill = completed_count()
-        os.kill(victim_pid, _signal.SIGKILL)
-        _note_injection("fleet", "sigkill", f"shard {victim}")
-
-        if not _wait_for(lambda: completed_count() >= jobs, timeout_sec):
-            done = fleet_completions()
-            report.violations.append(
-                f"after shard kill only {completed_count()}/{jobs} jobs "
-                f"completed within {timeout_sec}s "
-                f"(missing: {sorted(submitted_ids - set(done))[:3]})"
-            )
-            return report
-
-        def victim_live() -> bool:
-            try:
-                health = query_daemon(fleet_endpoint(), "health")
-            except (OSError, ConnectionError):
-                return False
-            status = health.get("health", {}).get("shard_status", {})
-            return status.get(victim, {}).get("status") == "live"
-
-        report.readmitted = _wait_for(victim_live, timeout_sec)
-        if not report.readmitted:
-            report.violations.append(
-                f"victim shard {victim} was never re-admitted to the ring"
-            )
-
-        fleet.send_signal(_signal.SIGTERM)
-        try:
-            report.drain_exit_code = fleet.wait(timeout=60)
-        except Exception:  # noqa: BLE001
-            report.violations.append("fleet did not exit after SIGTERM")
-            return report
-    finally:
-        if fleet.poll() is None:  # never leak a live fleet
-            fleet.kill()
-            fleet.wait(timeout=10)
-
-    if report.drain_exit_code != 0:
-        report.violations.append(
-            f"fleet drain exited {report.drain_exit_code}, expected 0"
-        )
-
-    # ------------------------------------------------------------------
-    # The exactly-once ledger check, fleet-wide across every journal.
-    # ------------------------------------------------------------------
-    completions = fleet_completions()
-    lost = submitted_ids - set(completions)
-    if lost:
-        report.violations.append(
-            f"{len(lost)} submitted job(s) left no journal trace anywhere"
-        )
-    for job_id, count in completions.items():
-        if count == 0:
-            report.violations.append(
-                f"job {job_id[:12]} never completed on any shard (lost)"
-            )
-        elif count > 1:
-            report.violations.append(
-                f"job {job_id[:12]} has {count} completed records across "
-                "the fleet (double completion)"
-            )
-    report.moved = sum(
-        1
-        for shard_dir in shard_dirs()
-        for job in JobJournal.read_state(shard_dir / "journal")
-        .moved_out()
-        .values()
-        if job.request.get("job_id") in submitted_ids
+    report = CampaignReport(
+        "fleet", seed,
+        claim="zero lost jobs fleet-wide, zero double completions, "
+        "roll-up equals per-shard sums",
     )
-    if report.victim is not None and report.moved == 0:
-        report.violations.append(
-            "victim shard was killed but no jobs were handed off "
-            "(kill landed too late to exercise the drill)"
-        )
+    requests = sleep_requests("fleetdrill:sleep", jobs, seed, sleep_sec)
+    ids = job_ids(requests)
+    facts = report.phase("shard-kill")
+    facts.update(shards=shards, jobs=jobs)
+    if bind is not None:
+        facts["bind"] = bind
+    with report.guard():
+        with _serve(workdir, "fleet.log", timeout_sec, bind, shards) as fleet:
+            owned: Dict[str, int] = {}
+            for response in fleet.submit(requests):
+                owned[response["shard"]] = owned.get(response["shard"], 0) + 1
+            victim = facts["victim"] = max(owned, key=owned.get)
+            victim_pid = int((state / victim / "serve.pid").read_text())
+            facts["completed_before_kill"] = fleet.wait_completed(
+                ids, timeout_sec, at_least=kill_after_completions
+            )
+            os.kill(victim_pid, signal.SIGKILL)
+            _note_injection("fleet", "sigkill", f"shard {victim}")
+            fleet.wait_completed(ids, timeout_sec)
 
-    # ------------------------------------------------------------------
-    # Roll-up equality: merged counters == sum of per-shard snapshots.
-    # ------------------------------------------------------------------
-    snapshot_paths = [
-        d / "obs" / "metrics.json"
-        for d in shard_dirs()
-        if (d / "obs" / "metrics.json").exists()
-    ]
-    if len(snapshot_paths) != shards:
-        report.violations.append(
-            f"only {len(snapshot_paths)}/{shards} shards published a "
-            "live snapshot"
+            def victim_live() -> bool:
+                try:
+                    health = query_daemon(fleet.endpoint, "health")
+                except (OSError, ConnectionError):
+                    return False
+                status = health.get("health", {}).get("shard_status", {})
+                return status.get(victim, {}).get("status") == "live"
+
+            facts["readmitted"] = wait_for(victim_live, timeout_sec)
+            report.check(facts["readmitted"], f"victim shard {victim} was "
+                         "never re-admitted to the ring")
+            _drain(report, fleet, facts, "fleet ", 60)
+
+        journals = fleet.journal_dirs()
+        report.violations += ledger_violations(journals, ids)
+        facts["moved"] = sum(
+            1
+            for root in journals
+            for job in JobJournal.read_state(root).moved_out().values()
+            if job.request.get("job_id") in ids
         )
-    if snapshot_paths:
-        merged = merge_metrics_files(snapshot_paths)
+        report.check(facts["moved"], "victim shard was killed but no jobs "
+                     "were handed off (kill landed too late to exercise "
+                     "the drill)")
+
+        # Roll-up equality: merged counters == sum of per-shard snapshots.
+        snapshots = [root.parent / "obs" / "metrics.json" for root in journals
+                     if (root.parent / "obs" / "metrics.json").exists()]
+        report.check(len(snapshots) == shards, f"only {len(snapshots)}/"
+                     f"{shards} shards published a live snapshot")
         sums: Dict[str, float] = {}
-        for path in snapshot_paths:
+        for path in snapshots:
             document = json.loads(path.read_text())
-            payload = document.get("metrics", document)
-            for name, value in (payload.get("counters") or {}).items():
+            counters = document.get("metrics", document).get("counters")
+            for name, value in (counters or {}).items():
                 sums[name] = sums.get(name, 0) + value
-        for name, value in merged.get("counters", {}).items():
-            if abs(value - sums.get(name, 0)) > 1e-9:
-                report.violations.append(
-                    f"roll-up counter {name} is {value}, per-shard sum "
-                    f"is {sums.get(name, 0)}"
-                )
-        report.rollup_counters_checked = len(merged.get("counters", {}))
+        merged = merge_metrics_files(snapshots).get("counters", {})
+        for name, value in merged.items():
+            report.check(abs(value - sums.get(name, 0)) <= 1e-9,
+                         f"roll-up counter {name} is {value}, per-shard sum "
+                         f"is {sums.get(name, 0)}")
+        report.phase("rollup")["counters_checked"] = len(merged)
     return report
 
 
 # ----------------------------------------------------------------------
 # The transport campaign: a lossy wire between client and daemon
 # ----------------------------------------------------------------------
-@dataclass
-class TransportChaosReport:
-    """Outcome of one network-chaos campaign against the transport."""
-
-    seed: int
-    jobs: int
-    phases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    fleet: Optional[FleetChaosReport] = None
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and (self.fleet is None or self.fleet.ok)
-
-    def format_report(self) -> str:
-        lines = [
-            f"transport chaos campaign: seed={self.seed} jobs={self.jobs}"
-        ]
-        for scheme, phase in sorted(self.phases.items()):
-            proxy = phase.get("proxy") or {}
-            faults = " ".join(
-                f"{k}={proxy[k]}"
-                for k in ("dropped", "duplicated", "delayed", "truncated",
-                          "severed")
-                if k in proxy
-            )
-            lines.append(
-                f"  [{scheme}] upstream={phase.get('upstream')} "
-                f"acked={phase.get('acked')} "
-                f"classified_failures={phase.get('classified_failures')} "
-                f"drain_exit={phase.get('drain_exit_code')}"
-            )
-            if faults:
-                lines.append(
-                    f"  [{scheme}] injected: {faults} "
-                    f"(frames={proxy.get('frames')})"
-                )
-        if self.violations:
-            lines.append("GUARD VIOLATIONS:")
-            lines.extend(f"  !! {v}" for v in self.violations)
-        else:
-            lines.append(
-                "all guards held: every client call succeeded or failed "
-                "classified, every job completed exactly once, both "
-                "transports survived oversize/garbage/torn frames"
-            )
-        if self.fleet is not None:
-            lines.append(self.fleet.format_report())
-        return "\n".join(lines)
-
-
-def _spawn_bound_daemon(workdir: Path, state: Path, bind: str, log_name: str):
-    """Start ``repro serve run --bind <spec>`` as a real child process."""
-    import subprocess
-    import sys
-
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(workdir / log_name, "w")
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "run",
-            "--state",
-            str(state),
-            "--bind",
-            bind,
-            "--workers",
-            "2",
-            "--poll-interval",
-            "0.05",
-            "--snapshot-interval",
-            "0.5",
-            "--max-runtime-sec",
-            "150",
-        ],
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        env=env,
-    )
-
-
-def _recv_frame(conn, timeout: float = 5.0) -> Optional[Dict[str, Any]]:
-    """Read one framed-JSONL response off a raw socket; None on EOF."""
-    from repro.serve.transport import FrameAssembler
-
-    assembler = FrameAssembler(max_bytes=8 * 1024 * 1024)
-    conn.settimeout(timeout)
-    while True:
-        data = conn.recv(65536)
-        if not data:
-            return None
-        for kind, payload in assembler.feed(data):
-            if kind == "frame":
-                return json.loads(payload.decode("utf-8"))
+_PROXY_FAULTS = ("dropped", "duplicated", "delayed", "truncated", "severed")
 
 
 def _transport_drill(
-    report: TransportChaosReport,
+    report: CampaignReport,
     workdir: Path,
     seed: int,
     jobs: int,
@@ -1326,118 +756,74 @@ def _transport_drill(
     timeout_sec: float,
 ) -> None:
     """One daemon (unix or tcp) behind the chaos proxy, end to end."""
-    import signal as _signal
-
     from repro.guard.netchaos import NetChaosConfig, NetChaosProxy
-    from repro.serve.journal import JobJournal
-    from repro.serve.requests import normalize_request
     from repro.serve.transport import (
         MAX_FRAME_BYTES,
         ResilientClient,
         TransportError,
         exchange,
         parse_endpoint,
+        read_frames,
     )
 
-    phase: Dict[str, Any] = {"scheme": scheme}
-    report.phases[scheme] = phase
+    tag = f"[{scheme}] "
+    facts = report.phase(scheme)
     workdir.mkdir(parents=True, exist_ok=True)
-    state = workdir / "state"
-    bind = (
-        f"unix:{state / 'serve.sock'}"
-        if scheme == "unix"
-        else "tcp:127.0.0.1:0"
-    )
-    daemon = _spawn_bound_daemon(workdir, state, bind, f"daemon-{scheme}.log")
-    try:
-        if not _wait_for(
-            lambda: _daemon_ready(state, daemon.pid), timeout_sec
-        ):
-            report.violations.append(
-                f"[{scheme}] daemon never became ready within {timeout_sec}s"
-            )
-            return
-        upstream = (state / "serve.endpoint").read_text().strip()
-        phase["upstream"] = upstream
+    requests = sleep_requests(f"transport:{scheme}", jobs, seed, 0.05,
+                              scheme=scheme)
+    ids = job_ids(requests)
+    bind = "tcp:127.0.0.1:0" if scheme == "tcp" else None
+    with _serve(workdir, f"daemon-{scheme}.log", timeout_sec, bind) as svc:
+        upstream = facts["upstream"] = svc.endpoint
 
-        # --------------------------------------------------------------
         # Deterministic hardening probes, straight at the daemon: an
         # oversized frame and a garbage frame must each be *answered*
         # (frame_too_large / invalid), and the connection must survive
         # both — resync at the next newline, not a killed socket.
-        # --------------------------------------------------------------
         conn = parse_endpoint(upstream).connect(timeout=5.0)
         try:
-            conn.sendall(b'{"pad": "' + b"x" * MAX_FRAME_BYTES + b'"}\n')
-            response = _recv_frame(conn)
-            if not response or response.get("reason") != "frame_too_large":
-                report.violations.append(
-                    f"[{scheme}] oversized frame was not rejected as "
-                    f"frame_too_large: {response}"
-                )
-            conn.sendall(b"this is not json\n")
-            response = _recv_frame(conn)
-            if not response or response.get("reason") != "invalid":
-                report.violations.append(
-                    f"[{scheme}] garbage frame was not rejected as "
-                    f"invalid: {response}"
-                )
-            conn.sendall(b'{"verb": "health"}\n')
-            response = _recv_frame(conn)
-            if not isinstance(response, dict) or "status" not in response:
-                report.violations.append(
-                    f"[{scheme}] connection unusable after rejected "
-                    f"frames: {response}"
-                )
+            frames = read_frames(conn, 8 * 1024 * 1024, idle_timeout_sec=5.0)
+
+            def probe(payload: bytes) -> Optional[Dict[str, Any]]:
+                conn.sendall(payload)
+                for kind, frame in frames:
+                    if kind == "frame":
+                        return json.loads(frame.decode("utf-8"))
+                return None
+
+            response = probe(b'{"pad": "' + b"x" * MAX_FRAME_BYTES + b'"}\n')
+            report.check((response or {}).get("reason") == "frame_too_large",
+                         f"{tag}oversized frame was not rejected as "
+                         f"frame_too_large: {response}")
+            response = probe(b"this is not json\n")
+            report.check((response or {}).get("reason") == "invalid",
+                         f"{tag}garbage frame was not rejected as invalid: "
+                         f"{response}")
+            response = probe(b'{"verb": "health"}\n')
+            report.check("status" in (response or {}), f"{tag}connection "
+                         f"unusable after rejected frames: {response}")
         finally:
             conn.close()
         _note_injection("transport", "oversize+garbage", upstream)
 
-        # --------------------------------------------------------------
         # The lossy-wire drill: every submission goes through the chaos
         # proxy via the resilient client; every call must come back as
         # an ack or a classified, retryable transport error — never a
         # raw traceback, never a hang past the deadline budget.
-        # --------------------------------------------------------------
-        requests = [
-            {
-                "kind": "chaos",
-                "params": {"fault": "sleep", "sleep_sec": 0.05, "idx": i,
-                           "seed": seed, "scheme": scheme},
-                "label": f"transport:{scheme}:{i}",
-                "class": "drill",
-                "timeout_sec": 30.0,
-            }
-            for i in range(jobs)
-        ]
-        ids = [normalize_request(dict(r))["job_id"] for r in requests]
-        proxy = NetChaosProxy(
-            "tcp:127.0.0.1:0",
-            upstream,
-            NetChaosConfig(
-                seed=seed,
-                drop_prob=0.08,
-                dup_prob=0.08,
-                delay_prob=0.10,
-                delay_sec=0.02,
-                truncate_prob=0.04,
-                sever_prob=0.04,
-            ),
-        )
+        proxy = NetChaosProxy("tcp:127.0.0.1:0", upstream, NetChaosConfig(
+            seed=seed, drop_prob=0.08, dup_prob=0.08, delay_prob=0.10,
+            delay_sec=0.02, truncate_prob=0.04, sever_prob=0.04,
+        ))
         front = proxy.start()
         _note_injection("transport", "netchaos", front.describe())
         deadline_sec = 25.0
-        acked: Dict[str, str] = {}
+        acked = set()
         failures = 0
         try:
             client = ResilientClient(
-                front,
-                deadline_sec=deadline_sec,
-                max_attempts=12,
-                connect_timeout_sec=2.0,
-                io_timeout_sec=1.5,
-                backoff_base_sec=0.05,
-                backoff_max_sec=0.5,
+                front, deadline_sec=deadline_sec, max_attempts=12,
+                connect_timeout_sec=2.0, io_timeout_sec=1.5,
+                backoff_base_sec=0.05, backoff_max_sec=0.5,
             )
             for request, job_id in zip(requests, ids):
                 began = time.monotonic()
@@ -1445,113 +831,49 @@ def _transport_drill(
                     response = client.call(dict(request))
                 except TransportError as exc:
                     failures += 1
-                    if not isinstance(exc.retryable, bool):
-                        report.violations.append(
-                            f"[{scheme}] transport error lacks a "
-                            f"retryable classification: {exc!r}"
-                        )
+                    report.check(isinstance(exc.retryable, bool),
+                                 f"{tag}transport error lacks a retryable "
+                                 f"classification: {exc!r}")
                 except Exception as exc:  # noqa: BLE001 — escaping IS the bug
                     report.violations.append(
-                        f"[{scheme}] unclassified client error (raw "
-                        f"traceback escape): {exc!r}"
+                        f"{tag}unclassified client error (raw traceback "
+                        f"escape): {exc!r}"
                     )
                 else:
-                    if response.get("status") in ("accepted", "duplicate"):
-                        acked[job_id] = response["status"]
-                    else:
-                        report.violations.append(
-                            f"[{scheme}] submission answered {response}"
-                        )
+                    if report.check(
+                        response.get("status") in ("accepted", "duplicate"),
+                        f"{tag}submission answered {response}",
+                    ):
+                        acked.add(job_id)
                 elapsed = time.monotonic() - began
-                if elapsed > deadline_sec + 10.0:
-                    report.violations.append(
-                        f"[{scheme}] client call ran {elapsed:.1f}s, past "
-                        f"its {deadline_sec}s deadline budget"
-                    )
+                report.check(elapsed <= deadline_sec + 10.0,
+                             f"{tag}client call ran {elapsed:.1f}s, past "
+                             f"its {deadline_sec}s deadline budget")
         finally:
             proxy.stop()
-        phase["acked"] = len(acked)
-        phase["classified_failures"] = failures
-        phase["proxy"] = proxy.stats()
-        injected = sum(
-            phase["proxy"][k]
-            for k in ("dropped", "duplicated", "delayed", "truncated",
-                      "severed")
-        )
-        if injected == 0:
-            report.violations.append(
-                f"[{scheme}] proxy injected no faults — the drill "
-                "proved nothing (adjust probabilities or seed)"
-            )
+        stats = proxy.stats()
+        facts["acked"] = len(acked)
+        facts["classified_failures"] = failures
+        facts.update((k, stats[k]) for k in (*_PROXY_FAULTS, "frames"))
+        report.check(sum(stats[k] for k in _PROXY_FAULTS),
+                     f"{tag}proxy injected no faults — the drill proved "
+                     "nothing (adjust probabilities or seed)")
 
         # Un-acked jobs are redelivered off-proxy: content-hashed ids
         # make resubmission idempotent even if the lossy copy landed.
         missing = [
             dict(r) for r, job_id in zip(requests, ids) if job_id not in acked
         ]
-        if missing:
-            for response in exchange(upstream, missing, timeout=10.0):
-                if response.get("status") not in ("accepted", "duplicate"):
-                    report.violations.append(
-                        f"[{scheme}] off-proxy redelivery answered "
-                        f"{response}"
-                    )
+        for response in exchange(upstream, missing, timeout=10.0):
+            report.check(response.get("status") in ("accepted", "duplicate"),
+                         f"{tag}off-proxy redelivery answered {response}")
 
-        def all_completed() -> bool:
-            journal_state = JobJournal.read_state(state / "journal")
-            return all(
-                job_id in journal_state.jobs
-                and journal_state.jobs[job_id].status == "completed"
-                for job_id in ids
-            )
+        svc.wait_completed(ids, timeout_sec)
+        _drain(report, svc, facts, tag)
 
-        if not _wait_for(all_completed, timeout_sec):
-            journal_state = JobJournal.read_state(state / "journal")
-            done = sum(
-                1
-                for job_id in ids
-                if job_id in journal_state.jobs
-                and journal_state.jobs[job_id].status == "completed"
-            )
-            report.violations.append(
-                f"[{scheme}] only {done}/{jobs} jobs completed within "
-                f"{timeout_sec}s"
-            )
-            return
-        daemon.send_signal(_signal.SIGTERM)
-        try:
-            phase["drain_exit_code"] = daemon.wait(timeout=30)
-        except Exception:  # noqa: BLE001
-            report.violations.append(
-                f"[{scheme}] daemon did not exit after SIGTERM"
-            )
-            return
-        if phase["drain_exit_code"] != 0:
-            report.violations.append(
-                f"[{scheme}] drain exited {phase['drain_exit_code']}, "
-                "expected 0"
-            )
-    finally:
-        if daemon.poll() is None:  # never leak a live daemon
-            daemon.kill()
-            daemon.wait(timeout=10)
-
-    # ------------------------------------------------------------------
-    # The exactly-once ledger check: dup'd frames, torn responses, and
+    # The exactly-once ledger: dup'd frames, torn responses, and
     # idempotent resubmission must all collapse to one completion each.
-    # ------------------------------------------------------------------
-    final = JobJournal.read_state(state / "journal")
-    for job_id in ids:
-        job = final.jobs.get(job_id)
-        if job is None:
-            report.violations.append(
-                f"[{scheme}] job {job_id[:12]} left no journal trace (lost)"
-            )
-        elif job.completions != 1:
-            report.violations.append(
-                f"[{scheme}] job {job_id[:12]} has {job.completions} "
-                "completed records (exactly-once violated)"
-            )
+    report.violations += ledger_violations(svc.journal_dirs(), ids, scheme)
 
 
 def run_transport_campaign(
@@ -1560,112 +882,47 @@ def run_transport_campaign(
     jobs: int = 10,
     timeout_sec: float = 90.0,
     fleet_drill: bool = True,
-) -> TransportChaosReport:
+) -> CampaignReport:
     """Prove the transport layer under a seeded lossy wire (DESIGN.md §14).
 
-    1. **Hardening probes** — a real daemon must answer an oversized
-       frame with ``frame_too_large`` and a garbage frame with
-       ``invalid``, and keep the connection usable after both.
+    Against a daemon on a unix socket, then on ``tcp:127.0.0.1:0``:
+
+    1. **Hardening probes** — an oversized frame is answered
+       ``frame_too_large``, a garbage frame ``invalid``, and the
+       connection stays usable after both.
     2. **Lossy-wire drill** — submissions go through a seeded
-       :class:`repro.guard.netchaos.NetChaosProxy` (drop / duplicate /
-       delay / truncate / sever) via :class:`ResilientClient`; every
-       call must return an ack or a classified retryable error within
-       its deadline budget, and every job must complete **exactly once**
-       daemon-side regardless of duplicated or torn frames.
-    3. Steps 1–2 run twice — daemon on a unix socket, then on
-       ``tcp:127.0.0.1:0`` — the unix/TCP parity half of the tentpole.
-    4. **TCP fleet drill** — the full shard-kill campaign of
-       :func:`run_fleet_campaign`, but with router and shards bound on
-       TCP (``fleet_drill=False`` skips it for quick local runs).
+       :class:`repro.guard.netchaos.NetChaosProxy` via
+       :class:`ResilientClient`; every call returns an ack or a
+       classified retryable error within its deadline budget, and every
+       job completes **exactly once** despite duplicated or torn frames.
+
+    Then :func:`run_fleet_campaign` with router and shards on TCP
+    (``fleet_drill=False`` skips it for quick local runs).
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    report = TransportChaosReport(seed=seed, jobs=jobs)
-    _transport_drill(
-        report, workdir / "unix", seed, jobs, "unix", timeout_sec
+    report = CampaignReport(
+        "transport", seed,
+        claim="every client call succeeded or failed classified, every "
+        "job completed exactly once, both transports survived "
+        "oversize/garbage/torn frames",
     )
-    _transport_drill(
-        report, workdir / "tcp", seed + 1, jobs, "tcp", timeout_sec
-    )
+    report.phase("run")["jobs"] = jobs
+    for offset, scheme in enumerate(("unix", "tcp")):
+        with report.guard(scheme):
+            _transport_drill(report, workdir / scheme, seed + offset, jobs,
+                             scheme, timeout_sec)
     if fleet_drill:
-        report.fleet = run_fleet_campaign(
-            workdir / "fleet-tcp",
-            seed=seed,
-            shards=2,
-            bind="tcp:127.0.0.1:0",
-            timeout_sec=timeout_sec + 30,
-        )
+        report.sub.append(run_fleet_campaign(
+            workdir / "fleet-tcp", seed=seed, shards=2,
+            bind="tcp:127.0.0.1:0", timeout_sec=timeout_sec + 30,
+        ))
     return report
 
 
 # ----------------------------------------------------------------------
 # The storage campaign: disk faults against the durable result plane
 # ----------------------------------------------------------------------
-@dataclass
-class StorageChaosReport:
-    """Outcome of one disk-fault campaign (DESIGN.md §15)."""
-
-    seed: int
-    phases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format_report(self) -> str:
-        lines = [f"storage chaos campaign: seed={self.seed}"]
-        for name in ("bitrot", "enospc", "killwindow", "fleet-fetch"):
-            phase = self.phases.get(name)
-            if not phase:
-                continue
-            detail = " ".join(
-                f"{k}={v}" for k, v in sorted(phase.items())
-                if k not in ("name",) and not isinstance(v, (list, dict))
-            )
-            lines.append(f"  [{name}] {detail}")
-        if self.violations:
-            lines.append("GUARD VIOLATIONS:")
-            lines.extend(f"  !! {v}" for v in self.violations)
-        else:
-            lines.append(
-                "all guards held: zero lost jobs, zero double completions, "
-                "zero corrupt results served; corruption quarantined and "
-                "read-repaired, ENOSPC shed and self-cleared, the "
-                "result-write/journal-append kill window repaired from "
-                "the artifact, and every result fetched through the router"
-            )
-        return "\n".join(lines)
-
-
-def _find_dump(state: Path, reason: str) -> Optional[Path]:
-    """Newest valid flight dump with the given reason under <state>/obs."""
-    candidates = sorted((state / "obs").glob("flight-*.json"), reverse=True)
-    for path in candidates:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(payload, dict) and payload.get("reason") == reason:
-            return path
-    return None
-
-
-def _storage_requests(seed: int, jobs: int, tag: str,
-                      sleep_sec: float = 0.05) -> List[Dict[str, Any]]:
-    return [
-        {
-            "kind": "chaos",
-            "params": {"fault": "sleep", "sleep_sec": sleep_sec, "idx": i,
-                       "seed": seed},
-            "label": f"storagedrill:{tag}:{i}",
-            "class": "drill",
-            "timeout_sec": 30.0,
-        }
-        for i in range(jobs)
-    ]
-
-
 class _ENOSPCFile:
     """A file-object proxy whose writes fail with ENOSPC.
 
@@ -1678,22 +935,19 @@ class _ENOSPCFile:
     def __init__(self, fh):
         self._fh = fh
 
-    def write(self, data):
+    def write(self, *_):
         import errno
 
         raise OSError(errno.ENOSPC, "no space left on device (injected)")
 
-    def flush(self):
-        import errno
-
-        raise OSError(errno.ENOSPC, "no space left on device (injected)")
+    flush = write
 
     def __getattr__(self, name):
         return getattr(self._fh, name)
 
 
 def _storage_bitrot_phase(
-    report: StorageChaosReport,
+    report: CampaignReport,
     workdir: Path,
     seed: int,
     jobs: int,
@@ -1701,212 +955,98 @@ def _storage_bitrot_phase(
 ) -> None:
     """Bit-flip a journal record and a result file; demand quarantine,
     read-repair, and a clean fetch of every job after restart."""
-    import signal as _signal
-
     from repro.serve.journal import JobJournal
-    from repro.serve.requests import normalize_request
-    from repro.serve.transport import ResilientClient
-    from repro.serve.client import submit_via_socket
 
-    phase: Dict[str, Any] = {}
-    report.phases["bitrot"] = phase
+    facts = report.phase("bitrot")
     workdir.mkdir(parents=True, exist_ok=True)
     state = workdir / "state"
-    requests = _storage_requests(seed, jobs, "bitrot")
-    ids = [normalize_request(r)["job_id"] for r in requests]
-
-    def completed_count() -> int:
-        now = JobJournal.read_state(state / "journal")
-        return sum(1 for j in now.jobs.values() if j.status == "completed")
-
-    daemon = _spawn_bound_daemon(
-        workdir, state, f"unix:{state / 'serve.sock'}", "daemon-1.log"
-    )
-    try:
-        if not _wait_for(lambda: _daemon_ready(state, daemon.pid),
-                         timeout_sec):
-            report.violations.append(
-                f"[bitrot] daemon never became ready within {timeout_sec}s"
-            )
-            return
-        endpoint = (state / "serve.endpoint").read_text().strip()
-        responses = submit_via_socket(endpoint, requests)
-        if any(r.get("status") != "accepted" for r in responses):
-            report.violations.append(
-                f"[bitrot] not every submission was accepted: {responses[:3]}"
-            )
-            return
-        if not _wait_for(lambda: completed_count() >= jobs, timeout_sec):
-            report.violations.append(
-                f"[bitrot] only {completed_count()}/{jobs} jobs completed "
-                f"within {timeout_sec}s"
-            )
-            return
+    requests = sleep_requests("storagedrill:bitrot", jobs, seed, 0.05)
+    ids = job_ids(requests)
+    with _serve(workdir, "daemon-1.log", timeout_sec) as svc:
+        svc.submit(requests)
+        svc.wait_completed(ids, timeout_sec)
         # SIGKILL — no drain, no compaction: the journal keeps its raw
         # submitted/leased/completed records for us to damage.
-        daemon.send_signal(_signal.SIGKILL)
-        daemon.wait(timeout=10)
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=10)
+        svc.kill()
 
-    # ------------------------------------------------------------------
     # Fault 1 — mid-file WAL bit-rot: damage the `completed` record of
     # ids[0] (payload changed, CRC left stale -> checksum mismatch).
-    # ------------------------------------------------------------------
     rng = random.Random(seed)
     wal_victim, result_victim = ids[0], ids[1]
-    flipped = False
-    for segment in sorted((state / "journal").glob("wal*.jsonl")):
-        lines = segment.read_text(encoding="utf-8").splitlines()
-        for i, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if (record.get("type") == "completed"
-                    and record.get("job_id") == wal_victim):
-                record["duration_sec"] = (
-                    float(record.get("duration_sec") or 0.0)
-                    + 1.0 + rng.random()
-                )
-                lines[i] = json.dumps(record, separators=(",", ":"))
-                segment.write_text(
-                    "\n".join(lines) + "\n", encoding="utf-8"
-                )
-                _note_injection("storage", "wal_bitrot",
-                                f"{segment.name}:{i}")
-                flipped = True
-                break
-        if flipped:
-            break
-    if not flipped:
-        report.violations.append(
-            f"[bitrot] found no completed WAL record for {wal_victim[:12]}"
-        )
-        return
 
-    # ------------------------------------------------------------------
+    def flip_completed_record() -> bool:
+        for segment in sorted((state / "journal").glob("wal*.jsonl")):
+            lines = segment.read_text(encoding="utf-8").splitlines()
+            for i, line in enumerate(lines):
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if (record.get("type") == "completed"
+                        and record.get("job_id") == wal_victim):
+                    record["duration_sec"] = (
+                        float(record.get("duration_sec") or 0.0)
+                        + 1.0 + rng.random()
+                    )
+                    lines[i] = json.dumps(record, separators=(",", ":"))
+                    segment.write_text(
+                        "\n".join(lines) + "\n", encoding="utf-8"
+                    )
+                    _note_injection("storage", "wal_bitrot",
+                                    f"{segment.name}:{i}")
+                    return True
+        return False
+
+    if not flip_completed_record():
+        raise DrillFailure(
+            f"found no completed WAL record for {wal_victim[:12]}"
+        )
+
     # Fault 2 — result-file bit-rot on a different job: flip one byte
     # in the middle of its checksummed envelope.
-    # ------------------------------------------------------------------
     result_file = state / "results" / f"{result_victim}.json"
     blob = bytearray(result_file.read_bytes())
-    pos = len(blob) // 2
-    blob[pos] ^= 0xFF
+    blob[len(blob) // 2] ^= 0xFF
     result_file.write_bytes(bytes(blob))
     _note_injection("storage", "result_bitrot", result_file.name)
 
-    # ------------------------------------------------------------------
     # Restart over the damaged state dir.
-    # ------------------------------------------------------------------
-    daemon = _spawn_bound_daemon(
-        workdir, state, f"unix:{state / 'serve.sock'}", "daemon-2.log"
-    )
-    try:
-        if not _wait_for(lambda: _daemon_ready(state, daemon.pid),
-                         timeout_sec):
-            report.violations.append(
-                "[bitrot] restarted daemon never became ready within "
-                f"{timeout_sec}s"
-            )
-            return
-        endpoint = (state / "serve.endpoint").read_text().strip()
-
+    with _serve(workdir, "daemon-2.log", timeout_sec) as svc:
         # Replay must have counted + quarantined the corruption ...
         replayed = JobJournal.read_state(state / "journal")
-        phase["corrupt_records"] = replayed.corrupt_records
-        if replayed.corrupt_records < 1:
-            report.violations.append(
-                "[bitrot] replay counted no corrupt journal records after "
-                "the WAL bit-flip"
-            )
-        if wal_victim not in replayed.suspect_jobs:
-            report.violations.append(
-                "[bitrot] the damaged job was not flagged suspect"
-            )
+        facts["corrupt_records"] = replayed.corrupt_records
+        report.check(replayed.corrupt_records >= 1, "[bitrot] replay "
+                     "counted no corrupt journal records after the WAL "
+                     "bit-flip")
+        report.check(wal_victim in replayed.suspect_jobs,
+                     "[bitrot] the damaged job was not flagged suspect")
         quarantined = list((state / "journal" / "quarantine").glob("*"))
-        phase["quarantined_segments"] = len(quarantined)
-        if not quarantined:
-            report.violations.append(
-                "[bitrot] no quarantined copy of the corrupt WAL segment"
-            )
-        if not _wait_for(
-            lambda: _find_dump(state, "journal_corruption") is not None, 15.0
-        ):
-            report.violations.append(
-                "[bitrot] no journal_corruption flight dump after replay"
-            )
+        facts["quarantined_segments"] = len(quarantined)
+        report.check(quarantined, "[bitrot] no quarantined copy of the "
+                     "corrupt WAL segment")
+        report.check(svc.flight_dump("journal_corruption"),
+                     "[bitrot] no journal_corruption flight dump after "
+                     "replay")
 
         # ... and every job must fetch clean: the WAL victim via
         # artifact repair (its result file is intact), the result
         # victim via read-repair re-execution, the rest straight off
         # disk with their checksums verified.
-        client = ResilientClient(endpoint, deadline_sec=timeout_sec)
-        served_corrupt = 0
-        fetched_ok = 0
-        for job_id in ids:
-            response = client.fetch(job_id, wait=True)
-            if response.get("status") != "ok":
-                report.violations.append(
-                    f"[bitrot] fetch({job_id[:12]}) ended "
-                    f"{response.get('status')!r}: {response}"
-                )
-                continue
-            result = response.get("result") or {}
-            if result.get("status") != "ok":
-                served_corrupt += 1
-            else:
-                fetched_ok += 1
-        phase["fetched_ok"] = fetched_ok
-        if served_corrupt:
-            report.violations.append(
-                f"[bitrot] {served_corrupt} fetches served a non-ok payload"
-            )
-        quarantined_results = list(
-            (state / "results" / "quarantine").glob("*")
-        )
-        phase["quarantined_results"] = len(quarantined_results)
-        if not quarantined_results:
-            report.violations.append(
-                "[bitrot] the corrupt result file was never quarantined"
-            )
-        daemon.send_signal(_signal.SIGTERM)
-        try:
-            phase["drain_exit_code"] = daemon.wait(timeout=30)
-        except Exception:  # noqa: BLE001
-            report.violations.append("[bitrot] daemon did not drain")
-            return
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=10)
-    if phase.get("drain_exit_code") != 0:
-        report.violations.append(
-            f"[bitrot] drain exited {phase.get('drain_exit_code')}, "
-            "expected 0"
-        )
+        facts["fetched_ok"] = _fetch_all(report, svc.endpoint, ids,
+                                         timeout_sec, "[bitrot] ")
+        quarantined = list((state / "results" / "quarantine").glob("*"))
+        facts["quarantined_results"] = len(quarantined)
+        report.check(quarantined, "[bitrot] the corrupt result file was "
+                     "never quarantined")
+        _drain(report, svc, facts, "[bitrot] ")
 
     # The exactly-once ledger: the voided completion (read-repair) and
     # the artifact repair must both net out to exactly one completion.
-    final = JobJournal.read_state(state / "journal")
-    for job_id in ids:
-        job = final.jobs.get(job_id)
-        if job is None:
-            report.violations.append(
-                f"[bitrot] job {job_id[:12]} lost from the journal"
-            )
-            continue
-        if job.status != "completed" or job.completions != 1:
-            report.violations.append(
-                f"[bitrot] job {job_id[:12]} ended {job.status!r} with "
-                f"{job.completions} completions (want completed/1)"
-            )
+    report.violations += ledger_violations(svc.journal_dirs(), ids, "bitrot")
 
 
 def _storage_enospc_phase(
-    report: StorageChaosReport,
+    report: CampaignReport,
     workdir: Path,
     seed: int,
     timeout_sec: float,
@@ -1914,98 +1054,71 @@ def _storage_enospc_phase(
     """Inject ENOSPC at the WAL append; demand disk_full shedding with
     retry-after, then self-clearing once writes succeed again."""
     from repro.serve.daemon import ServeConfig, ServeDaemon
-    from repro.serve.journal import JobJournal
 
-    phase: Dict[str, Any] = {}
-    report.phases["enospc"] = phase
+    facts = report.phase("enospc")
     workdir.mkdir(parents=True, exist_ok=True)
-    request = _storage_requests(seed, 1, "enospc")[0]
+    state = workdir / "state"
+    [request] = sleep_requests("storagedrill:enospc", 1, seed, 0.05)
+    # In-process and driven by tick(): the socket is never opened.
     daemon = ServeDaemon(ServeConfig(
-        state_dir=workdir / "state",
-        spool_dir=workdir / "spool",
-        workers=1,
-        queue_limit=8,
-        poll_interval=0.01,
-        drain_timeout_sec=15.0,
-        disk_probe_interval_sec=0.05,
-        fsync=True,
+        state_dir=state, socket_path=state / "serve.sock", workers=1,
+        queue_limit=8, poll_interval=0.01, drain_timeout_sec=15.0,
+        disk_probe_interval_sec=0.05, fsync=True,
     ))
     try:
         daemon.journal._fh = _ENOSPCFile(daemon.journal._fh)
         _note_injection("storage", "enospc", "journal append")
         response = daemon.admit(dict(request))
-        phase["shed_response"] = response.get("reason")
-        if (response.get("status") != "rejected"
-                or response.get("reason") != "disk_full"
-                or not response.get("retry_after_sec")):
-            report.violations.append(
-                "[enospc] WAL ENOSPC was not shed as rejected/disk_full "
-                f"with retry_after_sec: {response}"
-            )
-        if daemon._shedding != "disk_full":
-            report.violations.append(
-                f"[enospc] daemon shedding state is {daemon._shedding!r}, "
-                "expected 'disk_full'"
-            )
+        facts["shed_response"] = response.get("reason")
+        report.check(
+            response.get("status") == "rejected"
+            and response.get("reason") == "disk_full"
+            and response.get("retry_after_sec"),
+            "[enospc] WAL ENOSPC was not shed as rejected/disk_full with "
+            f"retry_after_sec: {response}",
+        )
+        report.check(daemon._shedding == "disk_full", "[enospc] daemon "
+                     f"shedding state is {daemon._shedding!r}, expected "
+                     "'disk_full'")
         # Still full: re-admission inside the probe interval sheds too.
         daemon._disk_probe_at = time.monotonic() + 30.0
         response = daemon.admit(dict(request))
-        if response.get("reason") != "disk_full":
-            report.violations.append(
-                "[enospc] second admit during shedding was not shed: "
-                f"{response}"
-            )
+        report.check(response.get("reason") == "disk_full", "[enospc] "
+                     f"second admit during shedding was not shed: {response}")
         # The disk "heals" (the probe's reopen() swaps the poisoned
         # handle for a real one); the next admit must probe, clear the
         # state, and accept.
         daemon._disk_probe_at = 0.0
         response = daemon.admit(dict(request))
-        phase["recovered_response"] = response.get("status")
+        facts["recovered_response"] = response.get("status")
         if response.get("status") != "accepted":
-            report.violations.append(
-                f"[enospc] admit after the disk healed was not accepted: "
-                f"{response}"
+            raise DrillFailure(
+                f"admit after the disk healed was not accepted: {response}"
             )
-            return
-        if daemon._shedding is not None:
-            report.violations.append(
-                "[enospc] shedding state did not self-clear after a "
-                "successful probe"
-            )
-        deadline = time.monotonic() + timeout_sec
-        while time.monotonic() < deadline:
-            daemon.tick()
-            if daemon.journal.state.counts().get("completed") == 1:
-                break
-            time.sleep(0.02)
+        report.check(daemon._shedding is None, "[enospc] shedding state did "
+                     "not self-clear after a successful probe")
+        wait_for(lambda: daemon.tick() or daemon.journal.state.counts()
+                 .get("completed") == 1, timeout_sec, poll=0.02)
         fetched = daemon._handle_verb(
             {"verb": "fetch", "job_id": response["job_id"]}
         )
-        phase["fetch_status"] = fetched.get("status")
-        if fetched.get("status") != "ok":
-            report.violations.append(
-                f"[enospc] fetch after recovery ended {fetched}"
-            )
+        facts["fetch_status"] = fetched.get("status")
+        report.check(fetched.get("status") == "ok",
+                     f"[enospc] fetch after recovery ended {fetched}")
         daemon.drain()
     finally:
         daemon.supervisor.kill_all()
         daemon._stop_socket()
-        try:
+        with contextlib.suppress(Exception):
             daemon.journal.close()
-        except Exception:  # noqa: BLE001
-            pass
         daemon._lock_file.release()
-    final = JobJournal.read_state(workdir / "state" / "journal")
-    completions = [j.completions for j in final.jobs.values()]
-    if completions != [1]:
-        report.violations.append(
-            f"[enospc] journal completions after recovery are "
-            f"{completions}, want [1]"
-        )
+    report.violations += ledger_violations(
+        [state / "journal"], job_ids([request]), "enospc"
+    )
 
 
 def _storage_killwindow_phase(
-    report: StorageChaosReport,
+    report: CampaignReport,
     workdir: Path,
     seed: int,
     timeout_sec: float,
@@ -2013,17 +1126,17 @@ def _storage_killwindow_phase(
     """Fabricate the state a SIGKILL leaves when it lands *between*
     result-write and journal-append; recovery must repair the
     completion from the checksummed artifact instead of re-running."""
-    import signal as _signal
-
+    from repro.serve.client import fetch_result
     from repro.serve.journal import JobJournal
     from repro.serve.requests import normalize_request
     from repro.serve.supervisor import _write_result
 
-    phase: Dict[str, Any] = {}
-    report.phases["killwindow"] = phase
+    facts = report.phase("killwindow")
     workdir.mkdir(parents=True, exist_ok=True)
     state = workdir / "state"
-    request = normalize_request(_storage_requests(seed, 1, "killwindow")[0])
+    request = normalize_request(
+        sleep_requests("storagedrill:killwindow", 1, seed, 0.05)[0]
+    )
     job_id = request["job_id"]
 
     # The exact on-disk state of the kill window, deterministically:
@@ -2033,73 +1146,29 @@ def _storage_killwindow_phase(
     journal.submitted(request)
     journal.leased(job_id, lease=1, pid=999999)
     journal.close()
-    _write_result(
-        state / "results" / f"{job_id}.json",
-        {
-            "status": "ok",
-            "job_id": job_id,
-            "value": {"fault": "sleep", "ok": True},
-            "cache_hit": False,
-            "duration_sec": 0.01,
-        },
-    )
+    _write_result(state / "results" / f"{job_id}.json", {
+        "status": "ok", "job_id": job_id, "cache_hit": False,
+        "value": {"fault": "sleep", "ok": True}, "duration_sec": 0.01,
+    })
     _note_injection("storage", "killwindow", f"job {job_id[:12]}")
 
-    daemon = _spawn_bound_daemon(
-        workdir, state, f"unix:{state / 'serve.sock'}", "daemon.log"
-    )
-    try:
-        if not _wait_for(lambda: _daemon_ready(state, daemon.pid),
-                         timeout_sec):
-            report.violations.append(
-                f"[killwindow] daemon never became ready within "
-                f"{timeout_sec}s"
-            )
-            return
-        endpoint = (state / "serve.endpoint").read_text().strip()
-
-        def repaired() -> bool:
-            now = JobJournal.read_state(state / "journal")
-            job = now.jobs.get(job_id)
-            return job is not None and job.status == "completed"
-
-        if not _wait_for(repaired, timeout_sec):
-            report.violations.append(
-                "[killwindow] the orphaned lease with a valid result "
-                "artifact was never journaled completed"
-            )
-            return
-        from repro.serve.client import fetch_result
-
-        response = fetch_result(endpoint, job_id)
-        phase["fetch_status"] = response.get("status")
-        if response.get("status") != "ok":
-            report.violations.append(
-                f"[killwindow] fetch after repair ended {response}"
-            )
-        daemon.send_signal(_signal.SIGTERM)
-        try:
-            phase["drain_exit_code"] = daemon.wait(timeout=30)
-        except Exception:  # noqa: BLE001
-            report.violations.append("[killwindow] daemon did not drain")
-            return
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=10)
-    final = JobJournal.read_state(state / "journal")
-    job = final.jobs.get(job_id)
-    if job is None or job.status != "completed" or job.completions != 1:
-        report.violations.append(
-            "[killwindow] repaired job is not completed exactly once: "
-            + (f"{job.status}/{job.completions}" if job else "lost")
-        )
-    else:
-        phase["completions"] = job.completions
+    with _serve(workdir, "daemon.log", timeout_sec) as svc:
+        # The orphaned lease with a valid result artifact must be
+        # journaled completed (repaired, not re-run).
+        svc.wait_completed([job_id], timeout_sec)
+        response = fetch_result(svc.endpoint, job_id)
+        facts["fetch_status"] = response.get("status")
+        report.check(response.get("status") == "ok",
+                     f"[killwindow] fetch after repair ended {response}")
+        facts["drain_exit_code"] = svc.drain()
+    ledger = ledger_violations(svc.journal_dirs(), [job_id], "killwindow")
+    report.violations += ledger
+    if not ledger:
+        facts["completions"] = 1
 
 
 def _storage_fleet_phase(
-    report: StorageChaosReport,
+    report: CampaignReport,
     workdir: Path,
     seed: int,
     jobs: int,
@@ -2107,124 +1176,28 @@ def _storage_fleet_phase(
 ) -> None:
     """Fetch every completed job's result *through the router* of a
     2-shard TCP fleet (owner-shard hashing plus fan-out)."""
-    import signal as _signal
+    from repro.serve.client import fetch_result
 
-    from repro.serve.client import fetch_result, submit_via_socket
-    from repro.serve.journal import JobJournal
-    from repro.serve.requests import normalize_request
-    from repro.serve.transport import ResilientClient
-
-    phase: Dict[str, Any] = {}
-    report.phases["fleet-fetch"] = phase
+    facts = report.phase("fleet-fetch")
     workdir.mkdir(parents=True, exist_ok=True)
-    state = workdir / "state"
-    shards = 2
-    requests = _storage_requests(seed, jobs, "fleet", sleep_sec=0.1)
-    ids = [normalize_request(r)["job_id"] for r in requests]
-
-    def fleet_ready() -> bool:
-        if not (state / "fleet.pid").exists():
-            return False
-        if not (state / "fleet.endpoint").exists():
-            return False
-        return all(
-            (state / f"shard-{i}" / "serve.pid").exists()
-            for i in range(shards)
-        )
-
-    def fleet_completions() -> Dict[str, int]:
-        done: Dict[str, int] = {}
-        for shard_dir in sorted(state.glob("shard-*")):
-            journal_state = JobJournal.read_state(shard_dir / "journal")
-            for job_id, job in journal_state.jobs.items():
-                if job_id in ids:
-                    done[job_id] = done.get(job_id, 0) + job.completions
-        return done
-
-    fleet = _spawn_fleet(
-        workdir, state, shards, "fleet.log", bind="tcp:127.0.0.1:0"
+    requests = sleep_requests("storagedrill:fleet", jobs, seed, 0.1)
+    ids = job_ids(requests)
+    with _serve(workdir, "fleet.log", timeout_sec,
+                "tcp:127.0.0.1:0", shards=2) as fleet:
+        facts["endpoint"] = fleet.endpoint
+        fleet.submit(requests)
+        fleet.wait_completed(ids, timeout_sec)
+        facts["fetched_ok"] = _fetch_all(report, fleet.endpoint, ids,
+                                         timeout_sec, "[fleet-fetch] ",
+                                         fleet=True)
+        unknown = fetch_result(fleet.endpoint, "f" * 64).get("status")
+        facts["unknown_status"] = unknown
+        report.check(unknown == "not_found", "[fleet-fetch] fetch of an "
+                     f"unknown job_id was {unknown!r}, expected not_found")
+        _drain(report, fleet, facts, "[fleet-fetch] ", 60)
+    report.violations += ledger_violations(
+        fleet.journal_dirs(), ids, "fleet-fetch"
     )
-    try:
-        if not _wait_for(fleet_ready, timeout_sec):
-            report.violations.append(
-                f"[fleet-fetch] fleet never became ready within "
-                f"{timeout_sec}s"
-            )
-            return
-        endpoint = (state / "fleet.endpoint").read_text().strip()
-        phase["endpoint"] = endpoint
-        responses = submit_via_socket(endpoint, requests)
-        if any(r.get("status") != "accepted" for r in responses):
-            report.violations.append(
-                "[fleet-fetch] not every submission was accepted: "
-                f"{responses[:3]}"
-            )
-            return
-        if not _wait_for(
-            lambda: sum(
-                1 for n in fleet_completions().values() if n >= 1
-            ) >= jobs,
-            timeout_sec,
-        ):
-            report.violations.append(
-                f"[fleet-fetch] only "
-                f"{sum(1 for n in fleet_completions().values() if n >= 1)}"
-                f"/{jobs} jobs completed within {timeout_sec}s"
-            )
-            return
-        client = ResilientClient(endpoint, deadline_sec=timeout_sec)
-        fetched_ok = 0
-        for job_id in ids:
-            response = client.fetch(job_id, wait=True)
-            if response.get("status") != "ok":
-                report.violations.append(
-                    f"[fleet-fetch] fetch({job_id[:12]}) through the "
-                    f"router ended {response.get('status')!r}: {response}"
-                )
-                continue
-            if not response.get("shard"):
-                report.violations.append(
-                    f"[fleet-fetch] fetch({job_id[:12]}) response is "
-                    "missing its shard annotation"
-                )
-            if (response.get("result") or {}).get("status") != "ok":
-                report.violations.append(
-                    f"[fleet-fetch] fetch({job_id[:12]}) served a "
-                    "non-ok payload"
-                )
-                continue
-            fetched_ok += 1
-        phase["fetched_ok"] = fetched_ok
-        unknown = fetch_result(endpoint, "f" * 64)
-        phase["unknown_status"] = unknown.get("status")
-        if unknown.get("status") != "not_found":
-            report.violations.append(
-                "[fleet-fetch] fetch of an unknown job_id was "
-                f"{unknown.get('status')!r}, expected not_found"
-            )
-        fleet.send_signal(_signal.SIGTERM)
-        try:
-            phase["drain_exit_code"] = fleet.wait(timeout=60)
-        except Exception:  # noqa: BLE001
-            report.violations.append("[fleet-fetch] fleet did not drain")
-            return
-    finally:
-        if fleet.poll() is None:
-            fleet.kill()
-            fleet.wait(timeout=10)
-    if phase.get("drain_exit_code") != 0:
-        report.violations.append(
-            f"[fleet-fetch] drain exited {phase.get('drain_exit_code')}, "
-            "expected 0"
-        )
-    done = fleet_completions()
-    for job_id in ids:
-        if done.get(job_id, 0) != 1:
-            report.violations.append(
-                f"[fleet-fetch] job {job_id[:12]} completed "
-                f"{done.get(job_id, 0)} times fleet-wide (exactly-once "
-                "violated)"
-            )
 
 
 def run_storage_campaign(
@@ -2232,40 +1205,45 @@ def run_storage_campaign(
     seed: int = 7,
     jobs: int = 6,
     timeout_sec: float = 90.0,
-) -> StorageChaosReport:
+) -> CampaignReport:
     """Prove the durable result plane under disk faults (DESIGN.md §15).
 
-    1. **bitrot** — a daemon completes ``jobs`` drill jobs and is
-       SIGKILLed; one WAL ``completed`` record and one result file are
-       then bit-flipped.  The restarted daemon must quarantine a copy
-       of the damaged segment, surface ``serve.journal.corrupt_records``
-       plus a ``journal_corruption`` flight dump, repair the WAL victim
-       from its intact checksummed artifact, read-repair (quarantine +
-       re-execute) the corrupt result on fetch, and serve every job's
-       result clean — with exactly one completion per job at the end.
-    2. **enospc** — an in-process daemon's WAL handle is wrapped so
-       writes fail with ``ENOSPC``: admission must degrade to
-       ``rejected: disk_full`` with a retry-after hint (never crash),
-       and the state must self-clear via the disk probe once writes
-       succeed again.
-    3. **killwindow** — the exact on-disk state of a SIGKILL landing
-       between result-write and journal-append is fabricated; recovery
-       must journal the completion from the verified artifact instead
-       of re-running the job (zero lost, zero double-completed).
-    4. **fleet-fetch** — a 2-shard TCP fleet completes ``jobs`` more
-       jobs; every result must come back ``ok`` *through the router*
-       (job-id hashing + fan-out), an unknown id must be ``not_found``,
-       and the fleet-wide ledger must stay exactly-once.
+    1. **bitrot** — after a SIGKILL, one WAL ``completed`` record and
+       one result file are bit-flipped.  The restarted daemon must
+       quarantine the segment, count ``corrupt_records``, dump a
+       ``journal_corruption`` flight record, repair the WAL victim from
+       its artifact, read-repair the corrupt result, and serve every
+       result clean — one completion per job.
+    2. **enospc** — WAL writes fail with ``ENOSPC``: admission degrades
+       to ``rejected: disk_full`` with a retry-after hint and self-clears
+       via the disk probe once writes succeed again.
+    3. **killwindow** — a SIGKILL between result-write and
+       journal-append, fabricated on disk; recovery journals the
+       completion from the verified artifact instead of re-running.
+    4. **fleet-fetch** — every result of a 2-shard TCP fleet comes back
+       ``ok`` *through the router*, an unknown id is ``not_found``, and
+       the fleet-wide ledger stays exactly-once.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    report = StorageChaosReport(seed=seed)
-    _storage_bitrot_phase(report, workdir / "bitrot", seed, jobs, timeout_sec)
-    _storage_enospc_phase(report, workdir / "enospc", seed + 1, timeout_sec)
-    _storage_killwindow_phase(
-        report, workdir / "killwindow", seed + 2, timeout_sec
+    report = CampaignReport(
+        "storage", seed,
+        claim="zero lost jobs, zero double completions, zero corrupt "
+        "results served; corruption quarantined and read-repaired, ENOSPC "
+        "shed and self-cleared, the result-write/journal-append kill "
+        "window repaired from the artifact, and every result fetched "
+        "through the router",
     )
-    _storage_fleet_phase(
-        report, workdir / "fleet", seed + 3, jobs, timeout_sec
-    )
+    with report.guard("bitrot"):
+        _storage_bitrot_phase(report, workdir / "bitrot", seed, jobs,
+                              timeout_sec)
+    with report.guard("enospc"):
+        _storage_enospc_phase(report, workdir / "enospc", seed + 1,
+                              timeout_sec)
+    with report.guard("killwindow"):
+        _storage_killwindow_phase(report, workdir / "killwindow", seed + 2,
+                                  timeout_sec)
+    with report.guard("fleet-fetch"):
+        _storage_fleet_phase(report, workdir / "fleet", seed + 3, jobs,
+                             timeout_sec)
     return report

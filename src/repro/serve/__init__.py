@@ -2,7 +2,7 @@
 
 The long-running counterpart to ``repro batch`` (DESIGN.md §10): a
 ``repro serve run`` daemon accepts fit/simulate/experiment job requests
-as JSONL over a watched spool directory or a unix socket, journals each
+as framed JSONL over a unix or TCP socket, journals each
 one to a durable fsync'd WAL before acting on it, and executes leases
 in supervised worker processes with heartbeats, deadline kills, and
 crash backoff.  After a SIGKILL the journal replay requeues every
@@ -19,7 +19,7 @@ cross-shard status roll-up.  OPERATIONS.md is the operator's manual.
 Quickstart::
 
     # terminal 1 — the service (single daemon ...)
-    repro serve run --state /tmp/svc --spool /tmp/svc/spool --workers 2
+    repro serve run --state /tmp/svc --socket /tmp/svc/serve.sock --workers 2
     # ... or a routed 3-shard fleet)
     repro serve fleet --state /tmp/fleet --shards 3
 
@@ -30,9 +30,9 @@ Quickstart::
 
 Programmatic use mirrors the CLI::
 
-    from repro.serve import ServeConfig, ServeDaemon, submit_to_spool
+    from repro.serve import ServeConfig, ServeDaemon
 
-    config = ServeConfig(state_dir=state, spool_dir=spool, workers=2)
+    config = ServeConfig(state_dir=state, socket_path=sock, workers=2)
     daemon = ServeDaemon(config)   # replays the journal, requeues orphans
     daemon.run()                   # blocks until signalled, then drains
 """
@@ -44,7 +44,6 @@ from repro.serve.client import (
     query_daemon,
     read_live_snapshot,
     serve_status,
-    submit_to_spool,
     submit_via_socket,
 )
 from repro.serve.daemon import ServeConfig, ServeDaemon, serve_forever
@@ -139,6 +138,5 @@ __all__ = [
     "seal_record",
     "serve_forever",
     "serve_status",
-    "submit_to_spool",
     "submit_via_socket",
 ]

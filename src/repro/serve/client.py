@@ -1,21 +1,15 @@
 """Client helpers: submit jobs to a running daemon, inspect its state.
 
-Two transports, same JSONL payload:
-
-* **spool** — :func:`submit_to_spool` writes a request file atomically
-  (tmp + rename) into the watched directory; fire-and-forget, survives
-  the daemon being down (the file waits), no response channel beyond
-  the journal;
-* **socket** — :func:`submit_via_socket` speaks the framed JSONL
-  request/response protocol over the daemon's unix *or TCP* endpoint
-  and returns one response dict per request (``accepted`` /
-  ``rejected`` + retry-after / ``duplicate``).  On a mid-batch
-  connection failure it raises
-  :class:`repro.serve.transport.ProtocolError` whose ``.responses``
-  carries everything already answered, so callers know exactly which
-  requests were delivered.  For a lossy wire, wrap the same endpoint
-  in :class:`repro.serve.transport.ResilientClient` instead — it adds
-  a deadline budget, bounded retries with backoff, and reconnects.
+:func:`submit_via_socket` speaks the framed JSONL request/response
+protocol over the daemon's unix *or TCP* endpoint and returns one
+response dict per request (``accepted`` / ``rejected`` + retry-after /
+``duplicate``).  On a mid-batch connection failure it raises
+:class:`repro.serve.transport.ProtocolError` whose ``.responses``
+carries everything already answered, so callers know exactly which
+requests were delivered.  For a lossy wire (or a daemon that is briefly
+down), wrap the same endpoint in
+:class:`repro.serve.transport.ResilientClient` instead — it adds a
+deadline budget, bounded retries with backoff, and reconnects.
 
 :func:`serve_status` replays the journal read-only — it works on a live
 daemon's state dir and on a dead one's (the report then says ``down``
@@ -43,31 +37,12 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.serve.journal import JobJournal
 from repro.serve.transport import EndpointLike, exchange
 from repro.trace.io import PathLike
-
-
-def submit_to_spool(
-    spool_dir: PathLike, requests: Sequence[Dict[str, Any]]
-) -> Path:
-    """Atomically drop one JSONL file of requests into the spool."""
-    spool = Path(spool_dir)
-    spool.mkdir(parents=True, exist_ok=True)
-    name = f"{time.strftime('%Y%m%d-%H%M%S')}-{uuid.uuid4().hex[:8]}.jsonl"
-    tmp = spool / f".{name}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for request in requests:
-            fh.write(json.dumps(request) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    path = spool / name
-    os.replace(tmp, path)
-    return path
 
 
 def submit_via_socket(

@@ -1,7 +1,7 @@
 """The ``repro serve`` daemon: a crash-tolerant simulation service.
 
 One long-running process that accepts fit/simulate/experiment job
-requests (JSONL via a watched spool directory and/or a unix socket),
+requests (framed JSONL over one unix or TCP socket),
 journals every admission decision to a durable WAL before acting on it,
 and runs jobs through a supervised process-per-lease worker set.
 
@@ -134,7 +134,6 @@ class ServeConfig:
     """Operational knobs for one daemon."""
 
     state_dir: Path
-    spool_dir: Optional[Path] = None
     socket_path: Optional[Path] = None
     #: Intake endpoint spec: ``unix:<path>`` or ``tcp:<host>:<port>``
     #: (``tcp:...:0`` binds an ephemeral port, published in
@@ -187,21 +186,17 @@ class ServeConfig:
 
     def __post_init__(self):
         self.state_dir = Path(self.state_dir)
-        if self.spool_dir is not None:
-            self.spool_dir = Path(self.spool_dir)
         if self.socket_path is not None and self.bind is not None:
             raise ValueError("pass either socket_path or bind, not both")
         if self.bind is not None:
-            self.endpoint: Optional[Endpoint] = parse_endpoint(self.bind)
+            self.endpoint: Endpoint = parse_endpoint(self.bind)
         elif self.socket_path is not None:
             self.socket_path = Path(self.socket_path)
             self.endpoint = parse_endpoint(self.socket_path)
         else:
-            self.endpoint = None
-        if self.endpoint is not None and self.endpoint.scheme == "unix":
+            raise ValueError("need an intake endpoint (socket_path or bind)")
+        if self.endpoint.scheme == "unix":
             self.socket_path = self.endpoint.path
-        if self.spool_dir is None and self.endpoint is None:
-            raise ValueError("need a spool dir and/or an intake endpoint")
 
 
 class ServeDaemon:
@@ -613,7 +608,7 @@ class ServeDaemon:
         return True
 
     # ------------------------------------------------------------------
-    # Admission (spool scanner and socket threads both land here)
+    # Admission (every socket intake thread lands here)
     # ------------------------------------------------------------------
     def admit(self, raw: Any) -> Dict[str, Any]:
         """Admit one raw request object; returns the response dict."""
@@ -742,50 +737,10 @@ class ServeDaemon:
         return {"status": "accepted", "job_id": job_id}
 
     # ------------------------------------------------------------------
-    # Spool intake
-    # ------------------------------------------------------------------
-    def _intake_spool(self) -> int:
-        spool = self.config.spool_dir
-        if spool is None or self.draining or not spool.exists():
-            return 0
-        admitted = 0
-        done = spool / "done"
-        for path in sorted(spool.glob("*.jsonl")):
-            try:
-                lines = path.read_text().splitlines()
-            except OSError:
-                continue  # mid-rename; next tick gets it
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    obs.metrics().counter("serve.invalid").inc()
-                    _log.warning("serve.invalid_spool_line", file=path.name)
-                    continue
-                response = self.admit(raw)
-                if response["status"] == "accepted":
-                    admitted += 1
-                elif response.get("reason") == "disk_full":
-                    # Leave the spool file in place: it will be
-                    # re-scanned (and deduped) once the disk clears.
-                    return admitted
-            # Journal writes above are durable; only then is the spool
-            # file retired (a crash in between just re-reads it, and the
-            # journal dedupes every already-submitted job_id).
-            done.mkdir(parents=True, exist_ok=True)
-            os.replace(path, done / path.name)
-        return admitted
-
-    # ------------------------------------------------------------------
     # Socket intake (unix or TCP, same framed JSONL protocol)
     # ------------------------------------------------------------------
     def _start_socket(self) -> None:
         endpoint = self.config.endpoint
-        if endpoint is None:
-            return
         server = endpoint.listen(backlog=8)
         server.settimeout(0.2)
         self.bound = bound_endpoint(server, endpoint)
@@ -882,8 +837,7 @@ class ServeDaemon:
         server, self._server_socket = self._server_socket, None
         if server is not None:
             server.close()
-        if self.config.endpoint is not None:
-            self.config.endpoint.cleanup()
+        self.config.endpoint.cleanup()
         (self.state_dir / ENDPOINT_FILE).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
@@ -1070,7 +1024,6 @@ class ServeDaemon:
         if self._shedding is not None:
             self._probe_disk()
         self._replay_unjournaled()
-        self._intake_spool()
         self._dispatch()
         for event in self.supervisor.poll():
             self._safe_handle_event(event)
@@ -1122,10 +1075,7 @@ class ServeDaemon:
             "serve.started",
             pid=os.getpid(),
             state_dir=str(self.state_dir),
-            spool=str(self.config.spool_dir),
-            socket=(
-                self.bound.describe() if self.bound is not None else None
-            ),
+            socket=self.bound.describe(),
             workers=self.config.workers,
             recovered=self.recovered,
         )

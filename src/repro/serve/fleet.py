@@ -12,8 +12,7 @@ invariant.  The manager:
   ``<state>/fleet.sock``; ``--bind tcp:<host>:<port>`` for cross-node
   fleets (the bound endpoint is published in ``<state>/fleet.endpoint``)
   — via :class:`repro.serve.router.FleetRouter`, consistent-hashing each
-  ``job_id`` across the *live* shards (async intake; there is no fleet
-  spool walk to poll);
+  ``job_id`` across the *live* shards (async intake);
 * supervises the shards: a dead process (or a shard the router fails to
   reach) is marked dead, its ring points are removed, its orphaned
   admitted-but-incomplete jobs are handed off to the surviving shards,

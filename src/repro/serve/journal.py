@@ -19,11 +19,11 @@ Record grammar (``v`` 2), one JSON object per line::
     {"v":2,"type":"requeued", "job_id":...,"reason":...}
     {"v":2,"type":"job", ...}         # compaction snapshot of one job
 
-Every record since ``v`` 2 carries a ``crc`` field: the CRC32 of the
-record's canonical JSON (sorted keys, compact separators, ``crc``
-itself excluded) — see :func:`seal_record` / :func:`record_crc_ok`.
-``v`` 1 records (no ``crc``) replay unverified for backward compat; a
-record whose checksum verifies is applied even when its version is
+Every record carries a ``crc`` field: the CRC32 of the record's
+canonical JSON (sorted keys, compact separators, ``crc`` itself
+excluded) — see :func:`seal_record` / :func:`record_crc_ok`.  A record
+without a ``crc`` (whatever its ``v``) is corrupt: no writer emits one.
+A record whose checksum verifies is applied even when its version is
 newer than this writer knows (forward compat: preserved, not dropped).
 
 Durability model: the active segment is ``wal.jsonl``; when it exceeds
@@ -445,20 +445,11 @@ class JobJournal:
             if not isinstance(record, dict):
                 _bad(index, None)
                 continue
-            if "crc" in record:
-                if not record_crc_ok(record):
-                    _bad(index, record)
-                    continue
-                # Checksum holds: apply even if the version is newer
-                # than this reader (forward compat — never drop a
-                # verified record).
-            else:
-                version = record.get("v")
-                if isinstance(version, int) and version > 1:
-                    # v>=2 writers always seal; a missing crc means the
-                    # envelope itself was damaged.
-                    _bad(index, record)
-                    continue
+            if not record_crc_ok(record):
+                _bad(index, record)
+                continue
+            # Checksum holds: apply even if the version is newer than
+            # this reader (forward compat — never drop a verified record).
             state.apply(record)
         if had_corruption and path.name not in state.corrupt_segments:
             state.corrupt_segments.append(path.name)

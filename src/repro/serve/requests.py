@@ -1,7 +1,7 @@
 """Job requests: the JSONL wire format the serve daemon accepts.
 
-A request is one JSON object per line, over the spool directory or the
-unix socket::
+A request is one JSON object per frame, over the daemon's unix or TCP
+socket::
 
     {"kind": "simulate", "params": {...}, "label": "...",
      "timeout_sec": 30.0, "class": "interactive", "job_id": "..."}

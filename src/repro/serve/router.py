@@ -11,11 +11,11 @@ Two pieces, deliberately separable:
   shards.
 
 * :class:`FleetRouter` — the asyncio framed-JSONL front end (unix
-  socket *or* ``tcp:<host>:<port>``, DESIGN.md §14) that replaces the
-  single daemon's polling spool walk.  Each inbound frame is either a
-  control verb (``{"verb": "stats"}``) answered locally, or a job
-  request: the router normalises it (so the ``job_id`` used for
-  routing is exactly the one the shard will journal), asks its
+  socket *or* ``tcp:<host>:<port>``, DESIGN.md §14).  Each inbound
+  frame is either a control verb (``{"verb": "stats"}``) answered
+  locally, or a job request: the router normalises it (so the
+  ``job_id`` used for routing is exactly the one the shard will
+  journal), asks its
   ``owner_of`` callback for the owning live shard, and forwards the
   frame over that shard's own endpoint, relaying the shard's
   accepted/duplicate/rejected response back annotated with

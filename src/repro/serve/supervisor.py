@@ -66,9 +66,8 @@ _log = obs.get_logger("repro.serve")
 
 #: Envelope version for ``results/<job_id>.json`` files.  v2 wraps the
 #: worker payload in ``{"v":2,"payload":{...},"crc":<crc32>}`` (same
-#: canonical-JSON checksum as journal records); bare v1 payloads (a
-#: plain dict with a ``status`` key) still read back for compat, just
-#: unverifiable.
+#: canonical-JSON checksum as journal records).  Anything else on disk,
+#: a bare unsealed payload included, reads back as corrupt.
 RESULT_VERSION = 2
 
 
@@ -104,9 +103,8 @@ def _write_result(path: PathLike, payload: dict) -> None:
 def read_result(path: PathLike) -> Tuple[Optional[dict], str]:
     """Read and verify a result file: ``(payload, verdict)``.
 
-    Verdicts: ``"valid"`` (payload returned; checksum verified for v2
-    envelopes, trusted as-is for legacy bare payloads), ``"missing"``
-    (no file), ``"corrupt"`` (undecodable, or the CRC did not match —
+    Verdicts: ``"valid"`` (payload returned, checksum verified),
+    ``"missing"`` (no file), ``"corrupt"`` (undecodable, or the CRC did not match —
     the caller should quarantine and re-execute).
     """
     path = Path(path)
@@ -124,14 +122,10 @@ def read_result(path: PathLike) -> Tuple[Optional[dict], str]:
         return None, "corrupt"
     if not isinstance(data, dict):
         return None, "corrupt"
-    if "crc" in data or "payload" in data:
-        payload = data.get("payload")
-        if not record_crc_ok(data) or not isinstance(payload, dict):
-            return None, "corrupt"
-        return payload, "valid"
-    if "status" in data:  # legacy v1 bare payload: no checksum to check
-        return data, "valid"
-    return None, "corrupt"
+    payload = data.get("payload")
+    if not record_crc_ok(data) or not isinstance(payload, dict):
+        return None, "corrupt"
+    return payload, "valid"
 
 
 def quarantine_result(path: PathLike) -> Optional[Path]:

@@ -1,9 +1,9 @@
 """Docs ↔ CLI consistency: every ``repro <cmd>`` the docs name must exist.
 
 README.md and OPERATIONS.md are full of copy-pasteable command lines; a
-renamed or removed subcommand must fail CI here rather than silently
-rotting the docs.  The check parses the real parser tree out of
-``repro.cli.build_parser`` and compares it against every ``repro ...``
+renamed or removed subcommand or ``--flag`` must fail CI here rather
+than silently rotting the docs.  The check parses the real parser tree
+out of ``repro.cli.build_parser`` and compares it against every ``repro ...``
 invocation found in the docs' code spans (fenced blocks and inline
 backticks — prose is ignored to avoid false matches).
 """
@@ -22,6 +22,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DOC_FILES = ("README.md", "OPERATIONS.md")
 
 _WORD = re.compile(r"^[a-z][a-z-]*$")
+#: Shell tokens that end one ``repro`` invocation on a command line.
+_SHELL_BREAK = re.compile(r"^(?:\||\|\||&&?|;|#.*|[0-9]*>.*|<.*)$")
 _INVOCATION = re.compile(
     r"(?:python -m )?\brepro\s+((?:[a-z][a-z-]*|--?\S+|\S+)"
     r"(?:[ \t]+\S+)*)"
@@ -54,9 +56,9 @@ def _code_spans(text: str):
 
 
 def _doc_invocations(path: Path):
-    """(command, subcommand-or-None, span) triples named by one doc."""
+    """(command, subcommand-or-None, --flags, span) named by one doc."""
     for span in _code_spans(path.read_text()):
-        for match in _INVOCATION.finditer(span):
+        for match in _INVOCATION.finditer(span.replace("\\\n", " ")):
             tokens = match.group(1).split()
             if not tokens or not _WORD.match(tokens[0]):
                 continue  # `repro --help`, paths, prose fragments
@@ -64,7 +66,13 @@ def _doc_invocations(path: Path):
             subcommand = None
             if len(tokens) > 1 and _WORD.match(tokens[1]):
                 subcommand = tokens[1]
-            yield command, subcommand, span.strip()
+            flags = []
+            for token in tokens[1:]:
+                if _SHELL_BREAK.match(token):
+                    break
+                if token.startswith("--"):
+                    flags.append(token.split("=", 1)[0])
+            yield command, subcommand, flags, span.strip()
 
 
 def test_docs_exist():
@@ -79,7 +87,7 @@ def test_every_documented_command_exists(doc):
     if not path.exists():
         pytest.skip(f"{doc} not present")
     seen = 0
-    for command, subcommand, span in _doc_invocations(path):
+    for command, subcommand, _, span in _doc_invocations(path):
         seen += 1
         assert command in tree, (
             f"{doc} names `repro {command}` but cli.py has no such "
@@ -92,6 +100,28 @@ def test_every_documented_command_exists(doc):
                 f"(in: {span[:80]!r})"
             )
     assert seen > 0, f"{doc} names no repro commands at all?"
+
+
+@pytest.mark.parametrize("doc", DOC_FILES)
+def test_every_documented_flag_exists(doc):
+    """Each ``--flag`` of a documented invocation must exist on the
+    (sub)parser that invocation names."""
+    parsers = _subcommands(build_parser())
+    for command, subcommand, flags, span in _doc_invocations(
+        REPO_ROOT / doc
+    ):
+        parser = parsers.get(command)
+        if parser is None:
+            continue  # test_every_documented_command_exists reports it
+        parser = _subcommands(parser).get(subcommand, parser)
+        known = {opt for action in parser._actions
+                 for opt in action.option_strings}
+        for flag in flags:
+            assert flag in known, (
+                f"{doc} passes {flag} to `repro {command}"
+                f"{' ' + subcommand if subcommand else ''}`, which has no "
+                f"such option (in: {span[:80]!r})"
+            )
 
 
 def test_fleet_commands_are_documented():

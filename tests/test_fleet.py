@@ -15,10 +15,12 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.guard.drill import ServiceUnderTest, ledger_violations, wait_for
 from repro.serve import (
     FleetConfig,
     FleetManager,
@@ -30,7 +32,6 @@ from repro.serve import (
     format_status,
     is_fleet_state,
     serve_status,
-    submit_via_socket,
 )
 
 
@@ -470,38 +471,35 @@ class TestFleetRouter:
 # ----------------------------------------------------------------------
 # End-to-end: real fleet, SIGKILL one shard, exactly-once fleet-wide
 # ----------------------------------------------------------------------
-def _spawn_fleet(state: Path, shards: int, log_path: Path, extra_args=()):
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    with open(log_path, "w") as log:
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve", "fleet",
-                "--state", str(state),
-                "--shards", str(shards),
-                "--workers-per-shard", "1",
-                "--no-fsync",
-                "--snapshot-interval", "0.25",
-                "--supervise-interval", "0.1",
-                "--max-runtime-sec", "90",
-                *extra_args,
-            ],
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            env=env,
-        )
+def _fleet(state: Path, shards: int, log_path: Path, *extra_args):
+    return ServiceUnderTest(
+        ["serve", "fleet", "--state", state, "--shards", shards,
+         "--workers-per-shard", "1", "--no-fsync",
+         "--snapshot-interval", "0.25", "--supervise-interval", "0.1",
+         "--max-runtime-sec", "90", *extra_args],
+        log_path, ready_timeout=30,
+    )
 
 
-def _wait_for(predicate, timeout_sec: float, poll: float = 0.1) -> bool:
-    deadline = time.monotonic() + timeout_sec
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(poll)
-    return False
+def _requests(prefix: str, jobs: int, job_class: str, sleep_sec: float):
+    return [
+        {
+            "kind": "chaos",
+            "job_id": f"{prefix}-{i}",
+            "label": f"{prefix}-{i}",
+            "class": job_class,
+            "timeout_sec": 30.0,
+            "params": {"fault": "sleep", "sleep_sec": sleep_sec, "idx": i},
+        }
+        for i in range(jobs)
+    ]
+
+
+def _respawned(shard_dir: Path, old_pid: int) -> bool:
+    try:
+        return int((shard_dir / "serve.pid").read_text()) != old_pid
+    except (OSError, ValueError):
+        return False
 
 
 @pytest.mark.skipif(
@@ -511,92 +509,29 @@ def test_shard_kill_requeue_drill(tmp_path):
     """Kill one shard of a live 2-shard fleet; every job must complete
     exactly once somewhere, and the fleet must re-admit the shard."""
     state = tmp_path / "fleet"
-    jobs = 6
-    requests = [
-        {
-            "kind": "chaos",
-            "job_id": f"drill-{i}",
-            "label": f"drill-{i}",
-            "class": "drill",
-            "timeout_sec": 30.0,
-            "params": {"fault": "sleep", "sleep_sec": 0.4, "idx": i},
-        }
-        for i in range(jobs)
-    ]
+    requests = _requests("drill", 6, "drill", 0.4)
+    ids = [r["job_id"] for r in requests]
 
-    def fleet_completions() -> dict:
-        done = {}
-        for shard_dir in sorted(state.glob("shard-*")):
-            journal_state = JobJournal.read_state(shard_dir / "journal")
-            for job_id, job in journal_state.jobs.items():
-                done[job_id] = done.get(job_id, 0) + job.completions
-        return done
-
-    fleet = _spawn_fleet(state, shards=2, log_path=tmp_path / "fleet.log")
-    try:
-        assert _wait_for(
-            lambda: (state / "fleet.pid").exists()
-            and all(
-                (state / f"shard-{i}" / "serve.pid").exists()
-                for i in range(2)
-            ),
-            timeout_sec=30,
-        ), (tmp_path / "fleet.log").read_text()[-2000:]
-
-        responses = submit_via_socket(state / "fleet.sock", requests)
-        assert all(r["status"] == "accepted" for r in responses), responses
-        by_shard = {}
-        for r in responses:
-            by_shard.setdefault(r["shard"], []).append(r["job_id"])
-        victim = max(by_shard, key=lambda s: len(by_shard[s]))
+    with _fleet(state, 2, tmp_path / "fleet.log") as fleet:
+        # The default fleet intake is <state>/fleet.sock.
+        assert fleet.endpoint == f"unix:{state / 'fleet.sock'}"
+        by_shard = Counter(r["shard"] for r in fleet.submit(requests))
+        victim = max(by_shard, key=by_shard.get)
         victim_pid = int((state / victim / "serve.pid").read_text())
 
         # Let at least one job finish, then SIGKILL the busier shard.
-        assert _wait_for(
-            lambda: sum(
-                1 for n in fleet_completions().values() if n
-            ) >= 1,
-            timeout_sec=30,
-        )
+        fleet.wait_completed(ids, 30, at_least=1)
         os.kill(victim_pid, signal.SIGKILL)
-
-        assert _wait_for(
-            lambda: all(
-                fleet_completions().get(f"drill-{i}", 0) >= 1
-                for i in range(jobs)
-            ),
-            timeout_sec=45,
-        ), f"incomplete: {fleet_completions()}"
-
-        # Exactly-once fleet-wide: one completed record per job.
-        done = fleet_completions()
-        assert all(
-            done[f"drill-{i}"] == 1 for i in range(jobs)
-        ), f"double completions: {done}"
+        fleet.wait_completed(ids, 45)
+        assert ledger_violations(fleet.journal_dirs(), ids) == []
 
         # The victim must come back and be re-admitted (new pid marker).
-        assert _wait_for(
-            lambda: (state / victim / "serve.pid").exists()
-            and int((state / victim / "serve.pid").read_text())
-            != victim_pid,
-            timeout_sec=30,
-        )
-    finally:
-        if fleet.poll() is None:
-            fleet.send_signal(signal.SIGTERM)
-            try:
-                fleet.wait(timeout=40)
-            except subprocess.TimeoutExpired:
-                fleet.kill()
-                fleet.wait(timeout=10)
-
-    assert fleet.returncode == 0, (
-        tmp_path / "fleet.log"
-    ).read_text()[-2000:]
+        assert wait_for(lambda: _respawned(state / victim, victim_pid), 30)
+        assert fleet.drain(40) == 0, fleet.log_tail(2000)
 
     # Offline roll-up over the same state dir agrees with the journals.
     status = fleet_status(state)
-    assert status["counts"]["completed"] == jobs
+    assert status["counts"]["completed"] == len(ids)
     assert not status["router"]["alive"]
 
 
@@ -609,59 +544,20 @@ def test_single_shard_fleet_recovers_from_kill(tmp_path):
     still respawn it (journal replay requeues its jobs) instead of
     rejecting everything with no_live_shard until restarted by hand."""
     state = tmp_path / "fleet"
-    jobs = 3
-    requests = [
-        {
-            "kind": "chaos",
-            "job_id": f"solo-{i}",
-            "label": f"solo-{i}",
-            "class": "solo",
-            "timeout_sec": 30.0,
-            "params": {"fault": "sleep", "sleep_sec": 0.3, "idx": i},
-        }
-        for i in range(jobs)
-    ]
+    requests = _requests("solo", 3, "solo", 0.3)
+    ids = [r["job_id"] for r in requests]
 
-    def completions() -> dict:
-        journal_state = JobJournal.read_state(state / "shard-0" / "journal")
-        return {j: job.completions for j, job in journal_state.jobs.items()}
-
-    fleet = _spawn_fleet(state, shards=1, log_path=tmp_path / "fleet.log")
-    try:
-        assert _wait_for(
-            lambda: (state / "fleet.pid").exists()
-            and (state / "shard-0" / "serve.pid").exists(),
-            timeout_sec=30,
-        ), (tmp_path / "fleet.log").read_text()[-2000:]
-
-        responses = submit_via_socket(state / "fleet.sock", requests)
-        assert all(r["status"] == "accepted" for r in responses), responses
+    with _fleet(state, 1, tmp_path / "fleet.log") as fleet:
+        fleet.submit(requests)
         victim_pid = int((state / "shard-0" / "serve.pid").read_text())
         os.kill(victim_pid, signal.SIGKILL)
 
         # The shard must come back on its own and finish every job
         # exactly once (its own replay requeues them; nothing moved).
-        assert _wait_for(
-            lambda: all(
-                completions().get(f"solo-{i}", 0) >= 1 for i in range(jobs)
-            ),
-            timeout_sec=45,
-        ), f"incomplete after respawn: {completions()}"
-        assert int((state / "shard-0" / "serve.pid").read_text()) != victim_pid
-    finally:
-        if fleet.poll() is None:
-            fleet.send_signal(signal.SIGTERM)
-            try:
-                fleet.wait(timeout=40)
-            except subprocess.TimeoutExpired:
-                fleet.kill()
-                fleet.wait(timeout=10)
-
-    assert fleet.returncode == 0, (
-        tmp_path / "fleet.log"
-    ).read_text()[-2000:]
-    done = completions()
-    assert all(done[f"solo-{i}"] == 1 for i in range(jobs)), done
+        fleet.wait_completed(ids, 45)
+        assert _respawned(state / "shard-0", victim_pid)
+        assert fleet.drain(40) == 0, fleet.log_tail(2000)
+    assert ledger_violations(fleet.journal_dirs(), ids) == []
 
 
 @pytest.mark.skipif(
@@ -673,82 +569,32 @@ def test_tcp_fleet_passes_the_same_kill_drill(tmp_path):
     journal-first handoff, exactly-once, and shard re-admission all
     ride the transport abstraction, not the socket family."""
     state = tmp_path / "fleet"
-    jobs = 4
-    requests = [
-        {
-            "kind": "chaos",
-            "job_id": f"tcp-{i}",
-            "label": f"tcp-{i}",
-            "class": "drill",
-            "timeout_sec": 30.0,
-            "params": {"fault": "sleep", "sleep_sec": 0.4, "idx": i},
-        }
-        for i in range(jobs)
-    ]
+    requests = _requests("tcp", 4, "drill", 0.4)
+    ids = [r["job_id"] for r in requests]
 
-    def fleet_completions() -> dict:
-        done = {}
-        for shard_dir in sorted(state.glob("shard-*")):
-            journal_state = JobJournal.read_state(shard_dir / "journal")
-            for job_id, job in journal_state.jobs.items():
-                done[job_id] = done.get(job_id, 0) + job.completions
-        return done
-
-    fleet = _spawn_fleet(
-        state, shards=2, log_path=tmp_path / "fleet.log",
-        extra_args=("--bind", "tcp:127.0.0.1:0"),
-    )
-    try:
-        assert _wait_for(
-            lambda: (state / "fleet.pid").exists()
-            and (state / "fleet.endpoint").exists(),
-            timeout_sec=30,
-        ), (tmp_path / "fleet.log").read_text()[-2000:]
-        endpoint = (state / "fleet.endpoint").read_text().strip()
-        assert endpoint.startswith("tcp:127.0.0.1:")
-        assert not endpoint.endswith(":0")  # ephemeral port resolved
+    with _fleet(state, 2, tmp_path / "fleet.log",
+                "--bind", "tcp:127.0.0.1:0") as fleet:
+        assert fleet.endpoint.startswith("tcp:127.0.0.1:")
+        assert not fleet.endpoint.endswith(":0")  # ephemeral port resolved
         # No unix front-door socket exists in tcp mode.
         assert not (state / "fleet.sock").exists()
 
-        responses = submit_via_socket(endpoint, requests)
-        assert all(r["status"] == "accepted" for r in responses), responses
-        by_shard = {}
-        for r in responses:
-            by_shard.setdefault(r["shard"], []).append(r["job_id"])
-        victim = max(by_shard, key=lambda s: len(by_shard[s]))
+        by_shard = Counter(r["shard"] for r in fleet.submit(requests))
+        victim = max(by_shard, key=by_shard.get)
         victim_pid = int((state / victim / "serve.pid").read_text())
         os.kill(victim_pid, signal.SIGKILL)
 
-        assert _wait_for(
-            lambda: all(
-                fleet_completions().get(f"tcp-{i}", 0) >= 1
-                for i in range(jobs)
-            ),
-            timeout_sec=45,
-        ), f"incomplete: {fleet_completions()}"
-        done = fleet_completions()
-        assert all(done[f"tcp-{i}"] == 1 for i in range(jobs)), done
+        fleet.wait_completed(ids, 45)
+        assert ledger_violations(fleet.journal_dirs(), ids) == []
 
         # The victim respawns with a fresh (tcp-ephemeral) endpoint.
-        assert _wait_for(
-            lambda: (state / victim / "serve.pid").exists()
-            and int((state / victim / "serve.pid").read_text()) != victim_pid
+        assert wait_for(
+            lambda: _respawned(state / victim, victim_pid)
             and (state / victim / "serve.endpoint").exists(),
-            timeout_sec=30,
+            30,
         )
         assert (
             (state / victim / "serve.endpoint").read_text().strip()
             .startswith("tcp:127.0.0.1:")
         )
-    finally:
-        if fleet.poll() is None:
-            fleet.send_signal(signal.SIGTERM)
-            try:
-                fleet.wait(timeout=40)
-            except subprocess.TimeoutExpired:
-                fleet.kill()
-                fleet.wait(timeout=10)
-
-    assert fleet.returncode == 0, (
-        tmp_path / "fleet.log"
-    ).read_text()[-2000:]
+        assert fleet.drain(40) == 0, fleet.log_tail(2000)

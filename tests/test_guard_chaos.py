@@ -145,8 +145,8 @@ def test_campaign_smoke(tmp_path):
         runtime_faults=["crash"],
     )
     assert report.ok, report.format_report()
-    assert report.quarantined >= 1
-    statuses = set(report.batch_statuses.values())
+    assert report.phases["cache"]["quarantined"] >= 1
+    statuses = set(report.phases["batch"].values())
     assert statuses <= {"ok", "failed"}
     text = report.format_report()
     assert "all guards held" in text

@@ -22,7 +22,6 @@ from repro.serve.client import (
     query_daemon,
     read_live_snapshot,
     serve_status,
-    submit_to_spool,
     submit_via_socket,
 )
 from repro.serve.daemon import ServeConfig, ServeDaemon
@@ -319,6 +318,20 @@ class TestJournalCorruption:
         assert state.corrupt_records == 1
         assert state.jobs[request["job_id"]].status == "pending"
 
+    def test_v1_record_without_crc_is_corrupt(self, tmp_path):
+        journal = JobJournal(tmp_path, fsync=False)
+        request = normalize_request(_req(0))
+        journal.submitted(request)
+        journal.close()
+        unsealed = {"v": 1, "type": "completed", "job_id": request["job_id"],
+                    "duration_sec": 0.1}
+        with open(tmp_path / JobJournal.ACTIVE, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(unsealed, separators=(",", ":")) + "\n")
+        state = JobJournal.read_state(tmp_path)
+        assert state.corrupt_records == 1
+        assert request["job_id"] in state.suspect_jobs
+        assert state.jobs[request["job_id"]].status == "pending"
+
     def test_writer_quarantines_corrupt_segment_copy(self, tmp_path):
         journal = JobJournal(tmp_path, fsync=False)
         request = normalize_request(_req(0))
@@ -392,12 +405,12 @@ class TestResultEnvelope:
         assert not path.exists()
         assert read_result(path) == (None, "missing")
 
-    def test_legacy_bare_payload_still_reads(self, tmp_path):
+    def test_bare_payload_is_corrupt(self, tmp_path):
+        # An unsealed payload has no checksum to verify: read-repair
+        # re-executes it rather than serving it.
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"status": "ok", "job_id": "abc"}))
-        read, verdict = read_result(path)
-        assert verdict == "valid"
-        assert read["status"] == "ok"
+        assert read_result(path) == (None, "corrupt")
 
     def test_quarantine_of_missing_file_is_noop(self, tmp_path):
         assert quarantine_result(tmp_path / "nope.json") is None
@@ -640,7 +653,7 @@ def daemon_factory(serve_dir):
     def _make(**overrides):
         kwargs = dict(
             state_dir=serve_dir / "state",
-            spool_dir=serve_dir / "spool",
+            socket_path=serve_dir / "serve.sock",
             workers=1,
             queue_limit=8,
             poll_interval=0.01,
@@ -731,16 +744,6 @@ class TestServeDaemon:
         manifest = json.loads(manifest_path.read_text())
         assert [j["status"] for j in manifest["jobs"]] == ["ok"]
         assert manifest["jobs"][0]["kind"] == "sweep"
-
-    def test_spool_intake_retires_files_to_done(
-        self, daemon_factory, serve_dir
-    ):
-        daemon = daemon_factory()
-        spool_file = submit_to_spool(serve_dir / "spool", [_req(0), _req(1)])
-        daemon.tick()
-        assert not spool_file.exists()
-        assert (serve_dir / "spool" / "done" / spool_file.name).exists()
-        assert daemon.journal.state.counts()["total"] == 2
 
     def test_duplicate_submission_is_idempotent(self, daemon_factory):
         daemon = daemon_factory()
@@ -976,7 +979,7 @@ class TestServeDaemon:
         with pytest.raises(RuntimeError, match="serve.lock"):
             ServeDaemon(ServeConfig(
                 state_dir=serve_dir / "state",
-                spool_dir=serve_dir / "spool",
+                socket_path=serve_dir / "serve.sock",
                 fsync=False,
             ))
 

@@ -484,7 +484,6 @@ def daemon_factory(tmp_path):
             bind = f"unix:{tmp_path / f'serve-{index}.sock'}"
         kwargs = dict(
             state_dir=tmp_path / f"state-{index}",
-            spool_dir=tmp_path / f"spool-{index}",
             workers=1,
             queue_limit=16,
             poll_interval=0.01,
