@@ -36,7 +36,7 @@ The package is organised as:
     The calibrated-emulator-with-statistical-loss baseline and raw replay.
 ``repro.runtime``
     The batch execution subsystem: declarative jobs, a content-addressed
-    profile cache, a process-pool executor, and per-run JSON manifests.
+    profile cache, supervised worker processes, and per-run JSON manifests.
 
 Quickstart::
 

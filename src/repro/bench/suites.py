@@ -221,8 +221,7 @@ def _make_emulate(quick: bool) -> PreparedCase:
 
 
 def _make_batch(quick: bool, warm: bool) -> PreparedCase:
-    from repro.runtime.batch import run_batch
-    from repro.runtime.executor import ExecutorConfig
+    from repro.runtime.batch import ExecutorConfig, run_batch
     from repro.trace.io import save_traces
 
     n_traces = 2 if quick else 3

@@ -609,8 +609,7 @@ def _cmd_reproduce(args) -> int:
 
     targets = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     if len(targets) > 1 and args.workers > 1:
-        from repro.runtime.batch import run_experiments
-        from repro.runtime.executor import ExecutorConfig
+        from repro.runtime.batch import ExecutorConfig, run_experiments
 
         results, manifest = run_experiments(
             targets,
@@ -696,7 +695,7 @@ _CAUGHT_SIGNAL = {"signum": None}
 
 
 def _install_batch_signal_handlers() -> None:
-    """Route SIGINT/SIGTERM into KeyboardInterrupt so the executor can
+    """Route SIGINT/SIGTERM into KeyboardInterrupt so ``run_jobs`` can
     checkpoint: finished jobs keep their results, unfinished ones are
     recorded ``Interrupted``, and the partial manifest still gets
     written for ``--resume``."""
@@ -717,8 +716,7 @@ def _interrupt_exit_code() -> int:
 
 
 def _cmd_batch(args) -> int:
-    from repro.runtime.batch import run_batch
-    from repro.runtime.executor import ExecutorConfig
+    from repro.runtime.batch import ExecutorConfig, run_batch
     from repro.trace.io import iter_trace_paths
 
     _install_batch_signal_handlers()
@@ -756,7 +754,7 @@ def _cmd_batch(args) -> int:
         )
         return 2
     except KeyboardInterrupt:
-        # The signal landed outside the executor's checkpointing window
+        # The signal landed outside run_jobs' checkpointing window
         # (spec hashing, manifest write): nothing partial to save.
         _log.error("batch.interrupted_before_manifest")
         return _interrupt_exit_code()
@@ -992,8 +990,7 @@ def _cmd_sweep(args) -> int:
         return 0 if report.passed else 1
 
     # sweep run
-    from repro.runtime.batch import run_jobs
-    from repro.runtime.executor import ExecutorConfig
+    from repro.runtime.batch import ExecutorConfig, run_jobs
     from repro.runtime.jobs import make_sweep_job
 
     if args.grid is not None:

@@ -133,10 +133,9 @@ def fit_distribution_from_paths(
     over a growing corpus only ever fits the *new* traces.  Traces that
     fail to fit (corrupt file, degenerate trace) are skipped — the
     distribution is learnt from whatever survives, matching the
-    executor's never-kill-the-batch contract.
+    batch runtime's never-kill-the-batch contract.
     """
-    from repro.runtime.batch import fit_profiles
-    from repro.runtime.executor import ExecutorConfig
+    from repro.runtime.batch import ExecutorConfig, fit_profiles
 
     models, results = fit_profiles(
         trace_paths,

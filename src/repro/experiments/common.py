@@ -74,10 +74,10 @@ def experiment_module(name: str):
 def run_experiment(name: str, scale: str = "quick") -> str:
     """Run one experiment by name and return its formatted report.
 
-    This is the process-pool entry point for ``reproduce all``: both
-    arguments and the return value are plain strings, so the call
-    pickles across workers regardless of what the experiment's result
-    object contains.
+    This is the worker-process entry point for ``reproduce all``: both
+    arguments and the return value are plain strings, so the result
+    crosses the process boundary regardless of what the experiment's
+    result object contains.
     """
     sizing = Scale.quick() if scale == "quick" else Scale.paper()
     return experiment_module(name).run(sizing).format_report()

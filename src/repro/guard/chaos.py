@@ -13,8 +13,8 @@ Three fault surfaces, mirroring where production runs actually break:
 * **file faults** (:data:`FILE_FAULTS`) — byte-level damage to a saved
   trace: truncation mid-line, garbage lines, type-corrupted fields;
 * **runtime faults** (:func:`chaos_worker`, :func:`tear_cache_entry`) —
-  executor-level injected worker crashes, process kills, hangs that
-  trip the timeout, and torn cache writes.
+  injected worker crashes, process kills and hangs in supervised batch
+  jobs (a hang is killed at its deadline), and torn cache writes.
 
 :func:`run_campaign` wires all three through the real batch pipeline
 and checks the guard invariants.  The process campaigns —
@@ -204,11 +204,11 @@ def inject_file_fault(name: str, path, seed: int) -> None:
 # Runtime faults
 # ----------------------------------------------------------------------
 def chaos_worker(spec: JobSpec):
-    """Executor drill worker: misbehaves per ``spec.params['fault']``.
+    """Drill worker for job kind ``chaos``: misbehaves per
+    ``spec.params['fault']``.
 
-    Module-level so it pickles into pool workers.  ``kill`` refuses to
-    run outside a child process — killing the orchestrating process is
-    the one fault nothing could recover from.
+    ``kill`` refuses to run outside a child process — killing the
+    orchestrating process is the one fault nothing could recover from.
     """
     fault = spec.params.get("fault")
     if fault == "crash":
@@ -218,7 +218,7 @@ def chaos_worker(spec: JobSpec):
 
         if multiprocessing.parent_process() is not None:
             os._exit(13)  # simulates OOM-kill / segfault
-        raise RuntimeError("chaos: refusing os._exit outside a pool worker")
+        raise RuntimeError("chaos: refusing os._exit outside a worker process")
     if fault == "hang":
         time.sleep(float(spec.params.get("hang_sec", 30.0)))
         return {"fault": "hang", "survived": True}
@@ -275,7 +275,8 @@ def run_campaign(
     1. Generate a small clean dataset; corrupt one trace per fault.
     2. ``run_batch`` over the directory under ``policy`` — asserts one
        bad trace fails (or repairs) one job, never the batch.
-    3. Executor drills: crash / kill / hang workers, one per drill.
+    3. Worker drills through ``run_jobs``: crash / kill / hang, one per
+       drill.
     4. Torn cache write: corrupt a profile entry, assert quarantine +
        transparent re-fit.
 
@@ -284,9 +285,8 @@ def run_campaign(
     """
     from repro.datasets.pantheon import generate_run
     from repro.guard.repair import check_policy
-    from repro.runtime.batch import run_batch
+    from repro.runtime.batch import ExecutorConfig, run_batch, run_jobs
     from repro.runtime.cache import ProfileCache
-    from repro.runtime.executor import BatchExecutor, ExecutorConfig
     from repro.trace.io import save_trace
 
     check_policy(policy)
@@ -365,24 +365,22 @@ def run_campaign(
                 f"{result.error.message if result.error else ''}",
             )
 
-    # Phase 2: executor drills, one fault per drill
+    # Phase 2: worker drills, one fault per drill
     drills = report.phase("drill")
     for fault in runtime_faults:
         spec = make_chaos_job(fault, hang_sec=30.0, seed=seed,
                               timeout_sec=1.0 if fault == "hang" else None)
-        executor = BatchExecutor(
-            ExecutorConfig(workers=max(2, workers), timeout_sec=60.0,
-                           max_attempts=2)
-        )
+        config = ExecutorConfig(workers=workers, timeout_sec=60.0,
+                                max_attempts=2)
         try:
-            drill = executor.run([spec], chaos_worker)
+            drill, _ = run_jobs([spec], config, command="chaos")
         except Exception as exc:  # noqa: BLE001
             report.violations.append(
-                f"executor raised for fault {fault!r}: {exc!r}"
+                f"run_jobs raised for fault {fault!r}: {exc!r}"
             )
             continue
         if not report.check(len(drill) == 1,
-                            f"executor drill {fault!r} lost its job result"):
+                            f"drill {fault!r} lost its job result"):
             continue
         drills[spec.label] = drill[0].status
         report.check(  # crash, kill and hang must all fail the job

@@ -5,7 +5,7 @@ instruments, one convention (``subsystem.stage`` dotted names), one
 switch:
 
 * :func:`span` — context-manager tracing with wall/CPU durations,
-  nesting, and trace/span ids that survive the process-pool boundary;
+  nesting, and trace/span ids that survive the worker-process boundary;
 * :func:`metrics` — counters, gauges, and fixed-bucket histograms with
   JSON and Prometheus-text exporters;
 * :func:`get_logger` — structured events (``train.epoch``,

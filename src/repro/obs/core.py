@@ -12,7 +12,7 @@ goes through three accessors — :func:`span`, :func:`metrics`,
 * :func:`activate_context` can swap in a fresh, isolated state inside a
   worker process and collect its telemetry for the parent to merge.
 
-The cross-process contract (used by :mod:`repro.runtime.executor`):
+The cross-process contract (used by :mod:`repro.runtime.batch`):
 
 1. parent calls :func:`current_context` -> small picklable dict with
    the trace id and the submitting span's id;

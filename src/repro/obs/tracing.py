@@ -9,8 +9,8 @@ each when flushed to ``--trace-out``.
 Names follow the ``subsystem.stage`` dotted convention (DESIGN.md §7):
 ``executor.job``, ``fit.static_params``, ``ml.train``, ``sim.run``.
 
-Cross-process story: the batch executor snapshots the parent's
-``(trace_id, current span_id)`` into the job payload; the worker
+Cross-process story: ``run_jobs`` snapshots the parent's
+``(trace_id, current span_id)`` into the job request; the worker
 process builds a fresh ``Tracer`` *seeded with that identity*, so every
 span it records carries the parent run's ``trace_id`` and hangs off the
 submitting span.  The worker's event buffer rides back with the job

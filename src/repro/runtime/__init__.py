@@ -6,12 +6,13 @@ Turns the one-shot fit/simulate pipeline into an orchestrated engine:
   content-hash identities;
 * :mod:`repro.runtime.cache` — a content-addressed on-disk store for
   fitted iBoxNet profiles (fit once, reuse everywhere);
-* :mod:`repro.runtime.executor` — a process-pool executor with per-job
-  timeout, bounded retry, and graceful degradation;
 * :mod:`repro.runtime.manifest` — per-run JSON manifests so performance
   and failures are observable run-over-run;
 * :mod:`repro.runtime.batch` — the orchestration entry points the
-  ``repro batch`` / ``repro reproduce`` CLI commands sit on.
+  ``repro batch`` / ``repro reproduce`` CLI commands sit on, running
+  each job in a child forked by the serve daemon's
+  :class:`~repro.serve.supervisor.Supervisor` (per-job timeout kill,
+  bounded retry, batch budget).
 
 The library API mirrors the CLI one-to-one.  Simulate counterfactuals
 over a directory of traces, in parallel, through the profile cache::
@@ -46,7 +47,6 @@ on ``job_id``, which is how speed or failure regressions are diffed.
 """
 
 from repro.runtime.cache import ProfileCache, default_cache_dir
-from repro.runtime.executor import BatchExecutor, ExecutorConfig
 from repro.runtime.jobs import (
     JobError,
     JobResult,
@@ -57,6 +57,7 @@ from repro.runtime.jobs import (
 )
 from repro.runtime.manifest import MANIFEST_VERSION, RunManifest, new_run_id
 from repro.runtime.batch import (
+    ExecutorConfig,
     fit_profiles,
     run_batch,
     run_experiments,
@@ -64,7 +65,6 @@ from repro.runtime.batch import (
 )
 
 __all__ = [
-    "BatchExecutor",
     "ExecutorConfig",
     "JobError",
     "JobResult",

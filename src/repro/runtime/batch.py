@@ -1,10 +1,11 @@
 """Batch orchestration: fan traces/experiments out across workers.
 
 This is the layer the ``repro batch`` CLI (and the parallelised
-``reproduce all`` / ensemble fitting) sits on.  The stock workers are
-module-level functions taking a :class:`~repro.runtime.jobs.JobSpec` and
-returning a JSON-able dict, so they pickle cleanly into a process pool
-and their outputs drop straight into a run manifest.
+``reproduce all`` / ``sweep run`` / ensemble fitting) sits on.  The
+stock workers are module-level functions taking a
+:class:`~repro.runtime.jobs.JobSpec` and returning a JSON-able dict, so
+their outputs travel through a result file and drop straight into a run
+manifest.
 
 Per-trace unit of work (``simulate_worker``):
 
@@ -14,22 +15,50 @@ Per-trace unit of work (``simulate_worker``):
 3. return the profile plus a summary triple per protocol (optionally
    saving the predicted traces).
 
-A corrupted trace, a failing estimator, or a crashing protocol yields a
-structured failure record for that one job; the rest of the batch is
-unaffected.
+Execution runs on the serve daemon's
+:class:`~repro.serve.supervisor.Supervisor` — one forked child per
+attempt, no journal (the run manifest is the durable record).
+:func:`run_jobs` **never raises** for a job failure; every spec resolves
+to a :class:`JobResult`, in input order:
+
+* a job that raises, or whose worker dies without a result, is retried
+  up to ``max_attempts`` times after a jittered exponential delay;
+* a job that outlives its timeout is killed and recorded as
+  ``TimeoutError`` (not retried — deterministic work that blew its
+  limit once will blow it again);
+* when the batch budget runs out every worker is killed and each
+  unfinished job becomes ``BudgetExhausted``;
+* a ``KeyboardInterrupt`` (SIGINT, or SIGTERM re-raised by the CLI)
+  keeps every result that already came back (ok, or failed with its
+  real error — no retry once stopping), kills the rest and records
+  them ``Interrupted`` — the partial manifest is what ``--resume`` picks
+  up;
+* a refused fork fails that one job, not the batch.
+
+Telemetry (no-op unless ``repro.obs`` is enabled): each attempt runs in
+an ``executor.job`` span carrying the spec's ``job_id``; the parent's
+trace context rides into the child and the child's spans and metrics
+ride back in the result, so one event log covers the fan-out.
+Counters ``executor.jobs_ok`` / ``jobs_failed`` / ``retries`` /
+``timeouts`` / ``budget_exhausted`` / ``interrupted``, histogram
+``executor.job_sec``, and an ``executor.retry`` event per retry.
 """
 
 from __future__ import annotations
 
+import random
+import tempfile
 import time
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.runtime.cache import ProfileCache
-from repro.runtime.executor import BatchExecutor, ExecutorConfig
 from repro.runtime.jobs import (
+    JobError,
     JobResult,
     JobSpec,
     make_experiment_job,
@@ -43,7 +72,7 @@ _log = obs.get_logger("repro.runtime")
 
 
 # ----------------------------------------------------------------------
-# Stock workers (module-level: must pickle into worker processes)
+# Stock workers (looked up by kind in the forked child)
 # ----------------------------------------------------------------------
 def fit_worker(spec: JobSpec) -> Dict[str, Any]:
     """Fit one trace through the cache; returns the profile dict."""
@@ -148,6 +177,200 @@ def worker_for(kind: str):
 
 
 # ----------------------------------------------------------------------
+# Execution: a dispatch/poll loop over the serve Supervisor
+# ----------------------------------------------------------------------
+#: Delay before a job's second attempt; doubles per further attempt.
+_BACKOFF_SEC = 0.25
+#: Backoff jitter as a +/- fraction of the delay (0.5 => each delay is
+#: uniform in [0.5x, 1.5x]); decorrelates retry storms.
+_JITTER = 0.5
+_rng = random.Random()
+
+
+@dataclass(frozen=True)
+class ExecutorConfig:
+    """Knobs for one batch run."""
+
+    workers: int = 1
+    #: Default per-job limit; a spec's own ``timeout_sec`` overrides it.
+    timeout_sec: Optional[float] = None
+    max_attempts: int = 2
+    #: Total wall-clock budget for the whole batch.  When it runs out,
+    #: jobs not yet finished are recorded as failed with error type
+    #: ``BudgetExhausted`` — the manifest stays complete and a later
+    #: ``--resume`` picks up exactly the unfinished ones.
+    budget_sec: Optional[float] = None
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.budget_sec is not None and self.budget_sec <= 0:
+            raise ValueError("budget_sec must be positive")
+
+
+def _backoff_delay(next_attempt: int) -> float:
+    """Jittered exponential delay before attempt ``next_attempt``."""
+    base = _BACKOFF_SEC * (2 ** (next_attempt - 2))
+    return max(0.0, base * (1 + _rng.uniform(-_JITTER, _JITTER)))
+
+
+class _BatchRun:
+    """One execution of distinct specs; ``run()`` maps job_id -> result."""
+
+    def __init__(self, specs: Sequence[JobSpec], config: ExecutorConfig):
+        self.config = config
+        # Result files are keyed by job_id, so each distinct id runs once.
+        self.specs: Dict[str, JobSpec] = {}
+        for spec in specs:
+            self.specs.setdefault(spec.job_id, spec)
+        self.done: Dict[str, JobResult] = {}
+        #: (ready_at monotonic, job_id, attempt), in dispatch order.
+        self.waiting = [(0.0, job_id, 1) for job_id in self.specs]
+        self.obs_ctx = obs.current_context()
+
+    def run(self) -> Dict[str, JobResult]:
+        if not self.specs:
+            return self.done
+        from repro.serve.supervisor import Supervisor
+
+        budget = self.config.budget_sec
+        deadline = None if budget is None else time.monotonic() + budget
+        with tempfile.TemporaryDirectory(prefix="repro-batch-") as tmp:
+            # No slot backoff after a crash: the retry delay and the
+            # bounded max_attempts already keep a crash from hot-looping.
+            sup = Supervisor(workers=self.config.workers, results_dir=Path(tmp),
+                             backoff_base=0.0)
+            try:
+                self._loop(sup, deadline)
+            except KeyboardInterrupt:
+                obs.metrics().counter("executor.interrupted").inc()
+                _log.warning("executor.interrupted")
+                for event in sup.poll():  # keep what already finished
+                    if event.outcome in ("completed", "failed"):
+                        self._on_event(event, retry=False)
+                self._fail_rest("Interrupted", "batch interrupted by signal "
+                                "before this job finished; re-run it with --resume")
+            finally:
+                sup.kill_all()
+        return self.done
+
+    def _loop(self, sup, deadline: Optional[float]) -> None:
+        while True:
+            for event in sup.poll():
+                self._on_event(event)
+            if len(self.done) == len(self.specs):
+                return
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                budget = self.config.budget_sec
+                unfinished = len(self.specs) - len(self.done)
+                obs.metrics().counter("executor.budget_exhausted").inc(unfinished)
+                _log.warning("executor.budget_exhausted", budget_sec=budget,
+                             unfinished=unfinished)
+                self._fail_rest("BudgetExhausted", f"batch budget of {budget}s "
+                                "ran out before this job finished")
+                return
+            self._dispatch_ready(sup, now)
+            timeout = self._wake_after(sup, deadline, now)
+            processes = [lease.process for lease in sup.in_flight()]
+            if processes:
+                ready = wait([p.sentinel for p in processes], timeout)
+                for process in processes:
+                    if process.sentinel in ready:
+                        # The pipe closes just before the child can be
+                        # reaped; wait that out rather than spin on it.
+                        process.join(1.0)
+            elif timeout:
+                time.sleep(timeout)
+
+    def _dispatch_ready(self, sup, now: float) -> None:
+        still = []
+        free = sup.free_slots()
+        for entry in self.waiting:
+            ready_at, job_id, attempt = entry
+            if ready_at > now or not free:
+                still.append(entry)
+                continue
+            free -= 1
+            spec = self.specs[job_id]
+            timeout = spec.timeout_sec
+            if timeout is None:
+                timeout = self.config.timeout_sec
+            request = {"kind": spec.kind, "params": spec.params, "job_id": job_id,
+                       "label": spec.label, "timeout_sec": timeout,
+                       "attempt": attempt, "obs": self.obs_ctx}
+            try:
+                sup.dispatch(request, attempt)
+            except OSError as exc:  # fork refused (EAGAIN/ENOMEM)
+                error = JobError(type(exc).__name__, str(exc))
+                self._finish(JobResult(spec, "failed", error=error, attempts=attempt))
+        self.waiting = still
+
+    def _wake_after(self, sup, deadline, now: float) -> Optional[float]:
+        """Seconds until the next lease deadline, budget deadline or
+        retry; None means only a worker exit matters."""
+        times = [lease.deadline_mono for lease in sup.in_flight()
+                 if lease.deadline_mono is not None]
+        if deadline is not None:
+            times.append(deadline)
+        times += [ready for ready, _, _ in self.waiting if ready > now]
+        return max(0.0, min(times) - now) if times else None
+
+    def _on_event(self, event, retry: bool = True) -> None:
+        request, result = event.request, event.result or {}
+        spec, attempt = self.specs[request["job_id"]], request["attempt"]
+        obs.merge_telemetry(result.get("telemetry"))
+        if event.outcome == "completed":
+            self._finish(JobResult(
+                spec, "ok", value=result.get("value"), attempts=attempt,
+                duration_sec=event.duration_sec,
+                cache_hit=bool(result.get("cache_hit")),
+            ))
+            return
+        if event.outcome == "timeout":
+            # Killed at its deadline.  Deterministic work would time out
+            # again, so no retry.
+            timeout = request["timeout_sec"]
+            obs.metrics().counter("executor.timeouts").inc()
+            _log.warning("executor.timeout", job_id=spec.job_id,
+                         label=spec.label, timeout_sec=timeout)
+            error = JobError("TimeoutError", f"job exceeded {timeout}s")
+            self._finish(JobResult(spec, "failed", error=error,
+                                   attempts=attempt, duration_sec=timeout))
+            return
+        if event.outcome == "failed":
+            error = JobError(**result["error"])
+        else:  # crashed: the worker died without writing a result
+            error = JobError("WorkerCrashed", f"worker exited with code "
+                             f"{event.exitcode} before writing a result")
+        if retry and attempt < self.config.max_attempts:
+            delay = _backoff_delay(attempt + 1)
+            obs.metrics().counter("executor.retries").inc()
+            _log.warning("executor.retry", job_id=spec.job_id, label=spec.label,
+                         attempt=attempt + 1, delay_sec=round(delay, 4))
+            self.waiting.append((time.monotonic() + delay, spec.job_id, attempt + 1))
+            return
+        self._finish(JobResult(spec, "failed", error=error, attempts=attempt,
+                               duration_sec=event.duration_sec))
+
+    def _fail_rest(self, error_type: str, message: str) -> None:
+        for job_id, spec in self.specs.items():
+            if job_id not in self.done:
+                error = JobError(error_type, message)
+                self._finish(JobResult(spec, "failed", error=error, attempts=0))
+
+    def _finish(self, result: JobResult) -> None:
+        registry = obs.metrics()
+        registry.counter(
+            "executor.jobs_ok" if result.ok else "executor.jobs_failed"
+        ).inc()
+        registry.histogram("executor.job_sec").observe(result.duration_sec)
+        self.done[result.spec.job_id] = result
+
+
+# ----------------------------------------------------------------------
 # Orchestration entry points
 # ----------------------------------------------------------------------
 def run_jobs(
@@ -159,7 +382,8 @@ def run_jobs(
     """Execute heterogeneous specs with the stock workers; build a manifest.
 
     Kinds are dispatched per-spec, so one batch may mix fit, simulate,
-    and experiment jobs.
+    and experiment jobs.  A ``job_id`` listed more than once (the same
+    trace twice) runs once; its result fills every position.
 
     With ``resume_manifest``, specs whose ``job_id`` already completed
     ``ok`` in that manifest are *not* executed: their prior row is
@@ -191,15 +415,11 @@ def run_jobs(
             to_run=len(to_run),
         )
 
-    executor = BatchExecutor(config)
     with obs.span(
         "batch.run", command=command, jobs=len(to_run), workers=config.workers
     ):
-        run_results = executor.run(to_run, _dispatch)
+        ran = _BatchRun(to_run, config).run()
 
-    # Positional re-merge (a batch may legitimately contain duplicate
-    # job_ids, e.g. the same trace listed twice).
-    run_iter = iter(run_results)
     results: List[JobResult] = []
     for spec in specs:
         if spec.job_id in completed:
@@ -216,7 +436,7 @@ def run_jobs(
                 )
             )
         else:
-            results.append(next(run_iter))
+            results.append(replace(ran[spec.job_id], spec=spec))
 
     manifest = RunManifest.from_results(
         results,
@@ -224,17 +444,12 @@ def run_jobs(
         workers=config.workers,
         started_perf=started_perf,
         started_at_iso=started_at,
-        degraded_to_serial=executor.degraded_to_serial,
         resumed_from=(
             resume_manifest.run_id if resume_manifest is not None else None
         ),
         metrics=obs.metrics_snapshot(),
     )
     return results, manifest
-
-
-def _dispatch(spec: JobSpec) -> Dict[str, Any]:
-    return worker_for(spec.kind)(spec)
 
 
 def run_batch(

@@ -19,7 +19,6 @@ Schema (``manifest_version`` 1)::
       "wall_time_sec": 12.3,
       "counts": {"total": 6, "ok": 5, "failed": 1},
       "cache": {"hits": 5, "misses": 1},
-      "degraded_to_serial": false,
       "jobs": [ {job_id, kind, label, status, attempts,
                  duration_sec, cache_hit, error}, ... ],
       "metrics": { counters/gauges/histograms snapshot }   // optional
@@ -28,7 +27,9 @@ Schema (``manifest_version`` 1)::
 The optional ``metrics`` key is the :mod:`repro.obs` registry snapshot
 taken at the end of a telemetry-enabled run (``--metrics-out`` format);
 runs with telemetry disabled omit it, keeping the schema backward
-compatible within ``manifest_version`` 1.
+compatible within ``manifest_version`` 1.  :meth:`RunManifest.load`
+ignores keys it does not know, such as the ``degraded_to_serial`` flag
+older manifests carry, so they still work with ``--resume``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class RunManifest:
     finished_at: str
     wall_time_sec: float
     jobs: List[dict] = field(default_factory=list)
-    degraded_to_serial: bool = False
     #: run_id of the manifest this run resumed from (``batch --resume``).
     resumed_from: Optional[str] = None
     #: Optional repro.obs metrics snapshot (telemetry-enabled runs only).
@@ -104,7 +104,6 @@ class RunManifest:
         workers: int,
         started_perf: float,
         started_at_iso: str,
-        degraded_to_serial: bool = False,
         run_id: Optional[str] = None,
         resumed_from: Optional[str] = None,
         metrics: Optional[dict] = None,
@@ -118,7 +117,6 @@ class RunManifest:
             # Durations always come from perf_counter, never wall clock.
             wall_time_sec=round(time.perf_counter() - started_perf, 6),
             jobs=[r.describe() for r in results],
-            degraded_to_serial=degraded_to_serial,
             resumed_from=resumed_from,
             metrics=metrics,
         )
@@ -134,7 +132,6 @@ class RunManifest:
             "wall_time_sec": self.wall_time_sec,
             "counts": self.counts,
             "cache": self.cache,
-            "degraded_to_serial": self.degraded_to_serial,
             "jobs": self.jobs,
         }
         if self.resumed_from is not None:
@@ -167,7 +164,6 @@ class RunManifest:
             finished_at=data["finished_at"],
             wall_time_sec=data["wall_time_sec"],
             jobs=data["jobs"],
-            degraded_to_serial=data.get("degraded_to_serial", False),
             resumed_from=data.get("resumed_from"),
             metrics=data.get("metrics"),
         )
@@ -187,8 +183,6 @@ class RunManifest:
                 f"  ({resumed} job(s) carried over from run "
                 f"{self.resumed_from})"
             )
-        if self.degraded_to_serial:
-            lines.append("  (process pool unavailable; ran serially)")
         for job in self.failures:
             err = job.get("error") or {}
             lines.append(

@@ -91,7 +91,7 @@ def normalize_request(
 
 
 def request_to_spec(request: Dict[str, Any]) -> JobSpec:
-    """A normalised request as the executor-facing :class:`JobSpec`."""
+    """A normalised request as the worker-facing :class:`JobSpec`."""
     return JobSpec(
         kind=request["kind"],
         job_id=request["job_id"],

@@ -154,7 +154,10 @@ def _worker_entry(request: dict, result_path: str) -> None:
 
     Any exception becomes a structured ``failed`` result — only a
     process-level death (kill/OOM/``os._exit``) leaves no result file,
-    which is how the supervisor tells crashes from failures.
+    which is how the supervisor tells crashes from failures.  A request
+    carrying an ``obs`` trace context (``repro batch`` sends one when
+    telemetry is on) runs under that trace, and the child's spans and
+    metrics ride back in the result's ``telemetry`` key.
     """
     from repro.serve.requests import request_to_spec, resolve_worker
 
@@ -169,28 +172,39 @@ def _worker_entry(request: dict, result_path: str) -> None:
 
     release_inherited_locks()
     started = time.perf_counter()
-    try:
-        spec = request_to_spec(request)
-        worker = resolve_worker(spec.kind)
-        value = worker(spec)
-        payload = {
-            "status": "ok",
-            "job_id": request["job_id"],
-            "value": value,
-            "cache_hit": isinstance(value, dict) and bool(value.get("cache_hit")),
-            "duration_sec": time.perf_counter() - started,
-        }
-    except BaseException as exc:  # noqa: BLE001 — capture is the contract
-        payload = {
-            "status": "failed",
-            "job_id": request["job_id"],
-            "error": {
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            },
-            "duration_sec": time.perf_counter() - started,
-        }
+    with obs.activate_context(request.get("obs")) as collected:
+        try:
+            spec = request_to_spec(request)
+            worker = resolve_worker(spec.kind)
+            with obs.span(
+                "executor.job",
+                job_id=spec.job_id,
+                kind=spec.kind,
+                label=spec.label,
+                attempt=request.get("attempt"),
+            ):
+                value = worker(spec)
+            payload = {
+                "status": "ok",
+                "job_id": request["job_id"],
+                "value": value,
+                "cache_hit": isinstance(value, dict) and bool(value.get("cache_hit")),
+                "duration_sec": time.perf_counter() - started,
+            }
+        except BaseException as exc:  # noqa: BLE001 — capture is the contract
+            payload = {
+                "status": "failed",
+                "job_id": request["job_id"],
+                "error": {
+                    "error_type": type(exc).__name__,
+                    "message": str(exc),
+                    "traceback": traceback.format_exc(),
+                },
+                "duration_sec": time.perf_counter() - started,
+            }
+    telemetry = collected.telemetry() if collected is not None else None
+    if telemetry is not None:
+        payload["telemetry"] = telemetry
     _write_result(result_path, payload)
 
 

@@ -1,6 +1,7 @@
 """Tests for seeded fault injection and the chaos campaign."""
 
 import math
+import time
 
 import pytest
 
@@ -13,7 +14,8 @@ from repro.guard.chaos import (
     make_chaos_job,
     run_campaign,
 )
-from repro.runtime.executor import BatchExecutor, ExecutorConfig
+from repro.runtime import batch
+from repro.runtime.batch import ExecutorConfig, run_jobs
 from repro.trace.io import TraceLoadError, load_trace, save_trace
 from repro.trace.validate import validate_trace
 
@@ -90,10 +92,7 @@ class TestExecutorDrills:
     def _drill(self, spec, workers=2, **cfg):
         cfg.setdefault("timeout_sec", 60.0)
         cfg.setdefault("max_attempts", 2)
-        executor = BatchExecutor(
-            ExecutorConfig(workers=workers, **cfg)
-        )
-        results = executor.run([spec], chaos_worker)
+        results, _ = run_jobs([spec], ExecutorConfig(workers=workers, **cfg))
         assert len(results) == 1
         return results[0]
 
@@ -106,6 +105,17 @@ class TestExecutorDrills:
     def test_kill_contained_as_failed_result(self):
         result = self._drill(make_chaos_job("kill"))
         assert result.status == "failed"
+
+    def test_repeated_kills_cost_only_the_retry_delay(self):
+        # Eight worker deaths on one slot: the batch waits only its own
+        # retry delay between attempts, never a growing slot backoff.
+        specs = [make_chaos_job("kill", n=i) for i in range(4)]
+        start = time.monotonic()
+        results, _ = run_jobs(specs, ExecutorConfig(workers=1, max_attempts=2))
+        elapsed = time.monotonic() - start
+        assert [r.error.error_type for r in results] == ["WorkerCrashed"] * 4
+        assert all(r.attempts == 2 for r in results)
+        assert elapsed < 2 * batch._BACKOFF_SEC + 2.0
 
     def test_hang_trips_per_job_timeout(self):
         # The spec's own 1 s limit overrides the 60 s config default.

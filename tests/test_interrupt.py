@@ -1,11 +1,11 @@
 """Interrupt checkpointing (SIGINT/SIGTERM mid-batch) and the cache
 fit lock.
 
-The executor-level contract: a KeyboardInterrupt (which the CLI's
-signal handlers raise for SIGINT/SIGTERM) stops the batch, records
-every unfinished job as ``Interrupted``, and still returns a full
-result list — so the partial manifest is written and ``--resume``
-re-runs exactly the jobs the signal cut short.
+The batch-level contract: a KeyboardInterrupt (which the CLI's signal
+handlers raise for SIGINT/SIGTERM) stops the batch, kills the running
+workers, records every unfinished job as ``Interrupted``, and still
+returns a full result list — so the partial manifest is written and
+``--resume`` re-runs exactly the jobs the signal cut short.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -26,17 +25,10 @@ from repro.cli import (
     _interrupt_exit_code,
 )
 from repro.runtime import batch
+from repro.runtime.batch import ExecutorConfig, run_jobs
 from repro.runtime.cache import ProfileCache
-from repro.runtime.executor import BatchExecutor, ExecutorConfig
 from repro.runtime.jobs import JobSpec
-from repro.runtime.batch import run_jobs
 from repro.trace.io import save_trace
-
-
-def _interrupt_on_one(spec: JobSpec):
-    if spec.params["n"] == 1:
-        raise KeyboardInterrupt
-    return spec.params["n"] * 10
 
 
 def _well_behaved(spec: JobSpec):
@@ -49,6 +41,18 @@ def _slow_job_zero(spec: JobSpec):
     return spec.params["n"] * 10
 
 
+def _slow_job_one(spec: JobSpec):
+    if spec.params["n"] == 1:
+        time.sleep(30.0)
+    return spec.params["n"] * 10
+
+
+def _fails_job_one(spec: JobSpec):
+    if spec.params["n"] == 0:
+        time.sleep(30.0)
+    raise RuntimeError("job one always fails")
+
+
 def _specs(n):
     return [
         JobSpec(kind="test", job_id=f"job-{i}", label=f"job-{i}",
@@ -57,12 +61,27 @@ def _specs(n):
     ]
 
 
+def _run_with_sigint(specs, config, after_sec=1.0, **kwargs):
+    """``run_jobs`` with a SIGINT delivered to this process mid-batch."""
+    timer = threading.Timer(
+        after_sec, os.kill, args=(os.getpid(), signal.SIGINT)
+    )
+    timer.start()
+    try:
+        return run_jobs(specs, config=config, **kwargs)
+    finally:
+        timer.cancel()
+
+
 class TestExecutorInterrupt:
-    def test_serial_interrupt_checkpoints_remaining_jobs(self):
+    def test_serial_interrupt_checkpoints_remaining_jobs(self, monkeypatch):
+        # job-0 finishes at once; job-1 is mid-run when the signal lands
+        # and jobs 2-3 never start.
         obs.configure(enabled=True)
-        executor = BatchExecutor(ExecutorConfig(workers=1))
-        results = executor.run(_specs(4), _interrupt_on_one)
-        assert executor.interrupted
+        monkeypatch.setitem(batch._WORKERS, "test", _slow_job_one)
+        start = time.monotonic()
+        results, _ = _run_with_sigint(_specs(4), ExecutorConfig(workers=1))
+        assert time.monotonic() - start < 10.0
         assert len(results) == 4
         assert results[0].ok and results[0].value == 0
         for result in results[1:]:
@@ -71,35 +90,17 @@ class TestExecutorInterrupt:
             assert result.attempts == 0
         counters = obs.metrics_snapshot()["counters"]
         assert counters["executor.interrupted"] == 1
+        assert multiprocessing.active_children() == []
 
-    def test_harvest_keeps_done_futures_drops_unfinished(self):
-        executor = BatchExecutor(ExecutorConfig(workers=2))
-        spec = _specs(1)[0]
-        done = Future()
-        done.set_result(("ok", 42, 0.01, None))
-        harvested = executor._harvest_finished(done, spec, 1)
-        assert harvested.ok
-        assert harvested.value == 42
-        assert executor._harvest_finished(Future(), spec, 1) is None
-        cancelled = Future()
-        cancelled.cancel()
-        assert executor._harvest_finished(cancelled, spec, 1) is None
-
-    def test_pool_interrupt_keeps_already_finished_results(self):
+    def test_pool_interrupt_keeps_already_finished_results(
+        self, monkeypatch
+    ):
         # job-0 sleeps well past the SIGINT; jobs 1 and 2 finish almost
-        # immediately in their own pool workers.  The interrupt lands
-        # while the orchestrator waits on job-0 — the contract is that
-        # the finished results survive and only job-0 is Interrupted.
-        executor = BatchExecutor(ExecutorConfig(workers=3))
-        timer = threading.Timer(
-            1.0, os.kill, args=(os.getpid(), signal.SIGINT)
-        )
-        timer.start()
-        try:
-            results = executor.run(_specs(3), _slow_job_zero)
-        finally:
-            timer.cancel()
-        assert executor.interrupted
+        # immediately in their own workers.  The interrupt lands while
+        # the orchestrator waits on job-0 — the contract is that the
+        # finished results survive and only job-0 is Interrupted.
+        monkeypatch.setitem(batch._WORKERS, "test", _slow_job_zero)
+        results, _ = _run_with_sigint(_specs(3), ExecutorConfig(workers=3))
         assert len(results) == 3
         by_id = {r.spec.job_id: r for r in results}
         assert not by_id["job-0"].ok
@@ -107,11 +108,34 @@ class TestExecutorInterrupt:
         assert by_id["job-1"].ok and by_id["job-1"].value == 10
         assert by_id["job-2"].ok and by_id["job-2"].value == 20
 
+    def test_interrupt_keeps_a_failure_already_back(self, monkeypatch):
+        # job-1 fails at once and job-0 hangs; the interrupt lands before
+        # the loop has reaped job-1.  Its real error survives (no retry
+        # once stopping); only job-0 is Interrupted.
+        obs.configure(enabled=True)
+        real_wait = batch.wait
+
+        def wait_then_interrupt(sentinels, timeout=None):
+            real_wait(sentinels[1:], 10.0)  # job-1's worker is exiting
+            time.sleep(0.5)  # its pipe closes just before it is reapable
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(batch._WORKERS, "test", _fails_job_one)
+        monkeypatch.setattr(batch, "wait", wait_then_interrupt)
+        results, _ = run_jobs(_specs(2), ExecutorConfig(workers=2))
+        assert results[0].error.error_type == "Interrupted"
+        assert results[1].error.error_type == "RuntimeError"
+        assert results[1].attempts == 1
+        spans = [e["attrs"]["job_id"] for e in obs.events()
+                 if e["type"] == "span" and e["name"] == "executor.job"]
+        assert spans == ["job-1"]
+        assert multiprocessing.active_children() == []
+
     def test_interrupted_run_resumes(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(batch._WORKERS, "test", _interrupt_on_one)
+        monkeypatch.setitem(batch._WORKERS, "test", _slow_job_one)
         specs = _specs(3)
         config = ExecutorConfig(workers=1)
-        results, manifest = run_jobs(specs, config=config, command="batch")
+        results, manifest = _run_with_sigint(specs, config, command="batch")
         assert [r.ok for r in results] == [True, False, False]
         manifest_path = manifest.write(tmp_path)
 

@@ -9,7 +9,8 @@ import pytest
 
 from repro import obs
 from repro.obs.tracing import NULL_SPAN
-from repro.runtime.executor import BatchExecutor, ExecutorConfig
+from repro.runtime import batch
+from repro.runtime.batch import ExecutorConfig, run_jobs
 from repro.runtime.jobs import JobSpec
 
 
@@ -151,18 +152,23 @@ def _traced_worker(spec: JobSpec):
     return spec.params["n"]
 
 
-class TestCrossProcess:
-    """Real process-pool round trip: worker spans join the parent trace."""
+def _run_traced(specs, workers, monkeypatch):
+    monkeypatch.setitem(batch._WORKERS, "test", _traced_worker)
+    results, _ = run_jobs(specs, ExecutorConfig(workers=workers))
+    return results
 
-    def test_trace_id_propagates_through_pool(self):
+
+class TestCrossProcess:
+    """Real child-process round trip: worker spans join the parent trace."""
+
+    def test_trace_id_propagates_through_pool(self, monkeypatch):
         obs.configure(enabled=True)
-        executor = BatchExecutor(ExecutorConfig(workers=2))
         specs = [
             JobSpec(kind="test", job_id=f"job-{i}", label=f"job-{i}",
                     params={"n": i})
             for i in range(3)
         ]
-        results = executor.run(specs, _traced_worker)
+        results = _run_traced(specs, 2, monkeypatch)
         assert all(r.ok for r in results)
         events = obs.events()
         job_spans = [e for e in events if e["name"] == "executor.job"]
@@ -176,28 +182,26 @@ class TestCrossProcess:
         # Worker metrics merged into the parent registry.
         assert obs.metrics_snapshot()["counters"]["worker.calls"] == 3.0
 
-    def test_executor_spans_carry_job_ids(self):
+    def test_executor_spans_carry_job_ids(self, monkeypatch):
         obs.configure(enabled=True)
-        executor = BatchExecutor(ExecutorConfig(workers=1))
         specs = [
             JobSpec(kind="test", job_id="abc123", label="one",
                     params={"n": 1}),
         ]
-        executor.run(specs, _traced_worker)
+        _run_traced(specs, 1, monkeypatch)
         (job_span,) = [
             e for e in obs.events() if e["name"] == "executor.job"
         ]
         assert job_span["attrs"]["job_id"] == "abc123"
         assert job_span["attrs"]["attempt"] == 1
 
-    def test_disabled_pool_run_collects_nothing(self):
-        executor = BatchExecutor(ExecutorConfig(workers=2))
+    def test_disabled_pool_run_collects_nothing(self, monkeypatch):
         specs = [
             JobSpec(kind="test", job_id=f"j{i}", label=f"j{i}",
                     params={"n": i})
             for i in range(2)
         ]
-        results = executor.run(specs, _traced_worker)
+        results = _run_traced(specs, 2, monkeypatch)
         assert all(r.ok for r in results)
         assert obs.events() == []
         assert obs.metrics_snapshot() is None

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
 
 import pytest
 
 from repro import obs
 from repro.core import iboxnet
+from repro.runtime import batch
 from repro.runtime.cache import ProfileCache
-from repro.runtime.executor import BatchExecutor, ExecutorConfig
 from repro.runtime.jobs import (
     JobSpec,
     content_hash,
@@ -19,7 +20,12 @@ from repro.runtime.jobs import (
     make_simulate_job,
 )
 from repro.runtime.manifest import MANIFEST_VERSION, RunManifest
-from repro.runtime.batch import fit_profiles, run_batch, run_jobs
+from repro.runtime.batch import (
+    ExecutorConfig,
+    fit_profiles,
+    run_batch,
+    run_jobs,
+)
 from repro.trace.io import save_trace, trace_file_digest
 
 
@@ -146,7 +152,7 @@ class TestProfileCache:
 
 
 # ----------------------------------------------------------------------
-# Executor
+# Executor: run_jobs over supervised child processes
 # ----------------------------------------------------------------------
 def _echo_worker(spec: JobSpec):
     return {"echo": spec.params["n"], "cache_hit": spec.params["n"] % 2 == 0}
@@ -173,6 +179,12 @@ def _sleepy_worker(spec: JobSpec):
     return "woke"
 
 
+def _marking_worker(spec: JobSpec):
+    with open(spec.params["marker"], "a") as fh:
+        fh.write("ran\n")
+    return "marked"
+
+
 def _specs(n, **extra):
     return [
         JobSpec(kind="test", job_id=f"job-{i}", label=f"job-{i}",
@@ -181,21 +193,31 @@ def _specs(n, **extra):
     ]
 
 
+def _run(specs, worker, monkeypatch, **config):
+    """``run_jobs`` with ``worker`` registered for the ``test`` kind
+    (the forked child inherits the patched registry)."""
+    monkeypatch.setitem(batch._WORKERS, "test", worker)
+    results, _ = run_jobs(specs, ExecutorConfig(**config))
+    return results
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(batch, "_BACKOFF_SEC", 0.01)
+
+
 class TestExecutor:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_results_in_order_with_cache_hits(self, workers):
-        executor = BatchExecutor(ExecutorConfig(workers=workers))
-        results = executor.run(_specs(4), _echo_worker)
+    def test_results_in_order_with_cache_hits(self, workers, monkeypatch):
+        results = _run(_specs(4), _echo_worker, monkeypatch, workers=workers)
         assert [r.value["echo"] for r in results] == [0, 1, 2, 3]
         assert [r.cache_hit for r in results] == [True, False, True, False]
         assert all(r.ok for r in results)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failure_is_isolated(self, workers):
-        executor = BatchExecutor(
-            ExecutorConfig(workers=workers, max_attempts=1)
-        )
-        results = executor.run(_specs(3), _picky_worker)
+    def test_failure_is_isolated(self, workers, monkeypatch):
+        results = _run(_specs(3), _picky_worker, monkeypatch,
+                       workers=workers, max_attempts=1)
         assert [r.ok for r in results] == [True, False, True]
         failed = results[1]
         assert failed.error.error_type == "RuntimeError"
@@ -203,31 +225,25 @@ class TestExecutor:
         assert results[2].value == 20
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_retry_recovers(self, tmp_path, workers):
+    def test_retry_recovers(self, tmp_path, workers, monkeypatch,
+                            fast_backoff):
         spec = JobSpec(
             kind="test", job_id="flaky", label="flaky",
             params={"marker": str(tmp_path / f"marker-{workers}")},
         )
-        executor = BatchExecutor(
-            ExecutorConfig(workers=workers, max_attempts=2, backoff_sec=0.01)
-        )
-        (result,) = executor.run([spec], _flaky_worker)
+        (result,) = _run([spec], _flaky_worker, monkeypatch,
+                         workers=workers, max_attempts=2)
         assert result.ok
         assert result.value == "recovered"
         assert result.attempts == 2
 
-    def test_retries_exhausted(self, tmp_path):
-        executor = BatchExecutor(
-            ExecutorConfig(workers=1, max_attempts=3, backoff_sec=0.0)
-        )
-        (result,) = executor.run(_specs(2)[1:2], _picky_worker)
+    def test_retries_exhausted(self, monkeypatch, fast_backoff):
+        (result,) = _run(_specs(2)[1:2], _picky_worker, monkeypatch,
+                         workers=1, max_attempts=3)
         assert not result.ok
         assert result.attempts == 3
 
-    def test_timeout_fails_job_not_batch(self):
-        executor = BatchExecutor(
-            ExecutorConfig(workers=2, timeout_sec=1.0, max_attempts=1)
-        )
+    def test_timeout_fails_job_not_batch(self, monkeypatch):
         specs = [
             JobSpec(kind="test", job_id="slow", label="slow",
                     params={"sleep": 30.0}),
@@ -235,33 +251,70 @@ class TestExecutor:
                     params={"sleep": 0.0}),
         ]
         start = time.monotonic()
-        results = executor.run(specs, _sleepy_worker)
-        assert time.monotonic() - start < 20.0
+        results = _run(specs, _sleepy_worker, monkeypatch, workers=2,
+                       timeout_sec=1.0, max_attempts=1)
+        # The slow worker is killed at its deadline, not waited out.
+        assert time.monotonic() - start < 10.0
+        assert multiprocessing.active_children() == []
         assert [r.ok for r in results] == [False, True]
         assert results[0].error.error_type == "TimeoutError"
 
-    def test_empty_batch(self):
-        assert BatchExecutor().run([], _echo_worker) == []
+    def test_serial_timeout_is_killed_not_retried(self, monkeypatch):
+        # workers=1 runs in a child too, so the per-job limit applies.
+        specs = [
+            JobSpec(kind="test", job_id="slow", label="slow",
+                    params={"sleep": 30.0}),
+        ]
+        start = time.monotonic()
+        (result,) = _run(specs, _sleepy_worker, monkeypatch, workers=1,
+                         timeout_sec=0.5, max_attempts=2)
+        assert time.monotonic() - start < 10.0
+        assert result.error.error_type == "TimeoutError"
+        assert result.attempts == 1
 
-    def test_jitter_varies_backoff(self):
-        executor = BatchExecutor(
-            ExecutorConfig(backoff_sec=1.0, jitter=0.5)
-        )
-        delays = {executor._backoff_delay(2) for _ in range(50)}
+    def test_empty_batch(self):
+        results, manifest = run_jobs([])
+        assert results == []
+        assert manifest.counts["total"] == 0
+
+    def test_duplicate_job_ids_run_once(self, tmp_path, monkeypatch):
+        marker = tmp_path / "marker"
+        spec = JobSpec(kind="test", job_id="dup", label="dup",
+                       params={"marker": str(marker)})
+        monkeypatch.setitem(batch._WORKERS, "test", _marking_worker)
+        results, manifest = run_jobs([spec, spec], ExecutorConfig(workers=2))
+        assert [r.value for r in results] == ["marked", "marked"]
+        assert [j["status"] for j in manifest.jobs] == ["ok", "ok"]
+        assert marker.read_text().splitlines() == ["ran"]
+
+    def test_fork_failure_fails_only_that_job(self, monkeypatch):
+        import errno
+
+        process_cls = multiprocessing.get_context("fork").Process
+        real_start = process_cls.start
+
+        def start(self):
+            if self._args[0]["job_id"] == "job-1":
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real_start(self)
+
+        monkeypatch.setattr(process_cls, "start", start)
+        results = _run(_specs(3), _echo_worker, monkeypatch, workers=2)
+        assert [r.ok for r in results] == [True, False, True]
+        assert results[1].error.error_type == "BlockingIOError"
+        assert "fork refused" in results[1].error.message
+
+    def test_jitter_varies_backoff(self, monkeypatch):
+        monkeypatch.setattr(batch, "_BACKOFF_SEC", 1.0)
+        delays = {batch._backoff_delay(2) for _ in range(50)}
         assert len(delays) > 1
         assert all(0.5 <= d <= 1.5 for d in delays)
 
-    def test_zero_jitter_is_deterministic(self):
-        executor = BatchExecutor(
-            ExecutorConfig(backoff_sec=0.25, jitter=0.0)
-        )
-        assert executor._backoff_delay(2) == 0.25
-        assert executor._backoff_delay(3) == 0.5
-        assert executor._backoff_delay(4) == 1.0
-
-    def test_jitter_validated(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(jitter=1.5)
+    def test_zero_jitter_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(batch, "_JITTER", 0.0)
+        assert batch._backoff_delay(2) == 0.25
+        assert batch._backoff_delay(3) == 0.5
+        assert batch._backoff_delay(4) == 1.0
 
 
 class TestExecutorTelemetry:
@@ -271,12 +324,10 @@ class TestExecutorTelemetry:
         return obs.metrics_snapshot()["counters"]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_ok_and_failed_counters(self, workers):
+    def test_ok_and_failed_counters(self, workers, monkeypatch):
         obs.configure(enabled=True)
-        executor = BatchExecutor(
-            ExecutorConfig(workers=workers, max_attempts=1)
-        )
-        executor.run(_specs(3), _picky_worker)
+        _run(_specs(3), _picky_worker, monkeypatch,
+             workers=workers, max_attempts=1)
         counters = self._counters()
         assert counters["executor.jobs_ok"] == 2.0
         assert counters["executor.jobs_failed"] == 1.0
@@ -284,16 +335,15 @@ class TestExecutorTelemetry:
         assert snap["histograms"]["executor.job_sec"]["count"] == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_retry_counter_and_event(self, tmp_path, workers):
+    def test_retry_counter_and_event(self, tmp_path, workers, monkeypatch,
+                                     fast_backoff):
         obs.configure(enabled=True)
         spec = JobSpec(
             kind="test", job_id="flaky", label="flaky",
             params={"marker": str(tmp_path / f"m-{workers}")},
         )
-        executor = BatchExecutor(
-            ExecutorConfig(workers=workers, max_attempts=2, backoff_sec=0.01)
-        )
-        (result,) = executor.run([spec], _flaky_worker)
+        (result,) = _run([spec], _flaky_worker, monkeypatch,
+                         workers=workers, max_attempts=2)
         assert result.ok
         assert self._counters()["executor.retries"] == 1.0
         (retry,) = [
@@ -304,16 +354,14 @@ class TestExecutorTelemetry:
         assert retry["fields"]["attempt"] == 2
         assert retry["fields"]["delay_sec"] >= 0.0
 
-    def test_timeout_counter(self):
+    def test_timeout_counter(self, monkeypatch):
         obs.configure(enabled=True)
-        executor = BatchExecutor(
-            ExecutorConfig(workers=2, timeout_sec=0.5, max_attempts=1)
-        )
         specs = [
             JobSpec(kind="test", job_id="slow", label="slow",
                     params={"sleep": 30.0}),
         ]
-        (result,) = executor.run(specs, _sleepy_worker)
+        (result,) = _run(specs, _sleepy_worker, monkeypatch, workers=2,
+                         timeout_sec=0.5, max_attempts=1)
         assert not result.ok
         assert self._counters()["executor.timeouts"] == 1.0
         (timeout_event,) = [
@@ -322,9 +370,9 @@ class TestExecutorTelemetry:
         ]
         assert timeout_event["fields"]["job_id"] == "slow"
 
-    def test_disabled_executor_records_nothing(self):
-        executor = BatchExecutor(ExecutorConfig(workers=1, max_attempts=1))
-        executor.run(_specs(2), _picky_worker)
+    def test_disabled_executor_records_nothing(self, monkeypatch):
+        _run(_specs(2), _picky_worker, monkeypatch,
+             workers=1, max_attempts=1)
         assert obs.metrics_snapshot() is None
         assert obs.events() == []
 

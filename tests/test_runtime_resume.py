@@ -1,11 +1,14 @@
 """Batch budget enforcement and checkpoint/resume semantics."""
 
+import json
+import multiprocessing
+import time
+
 import pytest
 
 from repro import obs
-from repro.guard.chaos import chaos_worker, make_chaos_job
-from repro.runtime.batch import run_batch
-from repro.runtime.executor import BatchExecutor, ExecutorConfig
+from repro.guard.chaos import make_chaos_job
+from repro.runtime.batch import ExecutorConfig, run_batch, run_jobs
 from repro.runtime.jobs import make_simulate_job
 from repro.runtime.manifest import RunManifest
 from repro.trace.io import save_trace
@@ -74,15 +77,19 @@ class TestBudget:
             make_chaos_job(None),
             make_chaos_job("hang", hang_sec=30.0),
         ]
-        executor = BatchExecutor(
-            ExecutorConfig(workers=2, budget_sec=2.0, max_attempts=1)
+        start = time.monotonic()
+        results, _ = run_jobs(
+            specs, ExecutorConfig(workers=2, budget_sec=2.0, max_attempts=1)
         )
-        results = executor.run(specs, chaos_worker)
+        # The budget kills the hung worker instead of waiting it out.
+        assert time.monotonic() - start < 10.0
+        assert multiprocessing.active_children() == []
         by_label = {r.spec.label: r for r in results}
         assert by_label["chaos:normal"].status == "ok"
         hung = by_label["chaos:hang"]
         assert hung.status == "failed"
         assert hung.error.error_type == "BudgetExhausted"
+        assert hung.attempts == 0
 
 
 class TestResume:
@@ -140,6 +147,21 @@ class TestResume:
         results, m2, _ = _batch(batch_env, resume_from=doctored)
         assert [r.resumed for r in results] == [True, False, True]
         assert all(r.status == "ok" for r in results)
+
+    def test_resume_from_manifest_with_degraded_flag(
+        self, batch_env, tmp_path
+    ):
+        # Manifests from before the batch runtime ran on the Supervisor
+        # carry "degraded_to_serial"; load ignores it.
+        _, m1, m1_path = _batch(batch_env, paths=batch_env["traces"][:1])
+        data = json.loads(m1_path.read_text())
+        data["degraded_to_serial"] = True
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        results, m2, _ = _batch(batch_env, resume_from=old)
+        assert [r.resumed for r in results] == [True, False, False]
+        assert m2.resumed_from == m1.run_id
+        assert "degraded_to_serial" not in m2.to_dict()
 
     def test_resume_from_missing_manifest_raises(self, batch_env, tmp_path):
         with pytest.raises(FileNotFoundError):
