@@ -45,11 +45,6 @@ Commands mirror the workflows a downstream user needs:
     Observability helpers: ``obs summarize <path>`` renders a per-stage
     timing table from a JSONL event log, a metrics snapshot, or a run
     manifest.
-``bench``
-    Performance harness: ``bench run`` times the hot paths and writes a
-    versioned ``BENCH_<host>.json``; ``bench compare`` diffs a result
-    file against a committed baseline with a regression threshold
-    (see PERFORMANCE.md and DESIGN.md §8).
 
 Global flags (before the subcommand) control telemetry: ``--metrics-out``
 / ``--trace-out`` enable collection and write the artifacts on exit;
@@ -545,61 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_top.add_argument(
         "--watch", type=float, default=None, metavar="SEC",
         help="refresh every SEC seconds until interrupted",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the hot paths / compare against a baseline"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_run = bench_sub.add_parser(
-        "run", help="time the hot paths and write BENCH_<host>.json"
-    )
-    bench_run.add_argument(
-        "--quick", action="store_true",
-        help="small workloads and fewer repetitions (CI smoke sizing)",
-    )
-    bench_run.add_argument(
-        "--filter", nargs="+", default=None, metavar="SUBSTR",
-        help="only run cases whose name contains any of these substrings",
-    )
-    bench_run.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed repetitions per case (default: 5, or 3 with --quick)",
-    )
-    bench_run.add_argument(
-        "--output", type=Path, default=None,
-        help="result file path (default: ./BENCH_<host>.json)",
-    )
-    bench_run.add_argument(
-        "--list", action="store_true", dest="list_cases",
-        help="list available cases and exit",
-    )
-    bench_run.add_argument(
-        "--profile", action="store_true",
-        help="sample thread stacks while the suite runs and write "
-        "collapsed flamegraph text next to the result file",
-    )
-    bench_compare = bench_sub.add_parser(
-        "compare", help="diff a BENCH_*.json against a baseline"
-    )
-    bench_compare.add_argument(
-        "current", type=Path, help="the BENCH_*.json to check"
-    )
-    bench_compare.add_argument(
-        "--baseline", type=Path,
-        default=Path("benchmarks/baselines/BENCH_baseline.json"),
-        help="baseline result file "
-        "(default: benchmarks/baselines/BENCH_baseline.json)",
-    )
-    bench_compare.add_argument(
-        "--threshold", type=float, default=None,
-        help="flag cases slower than baseline by more than this factor "
-        "(default: 1.5)",
-    )
-    bench_compare.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit non-zero when a regression is flagged (default: "
-        "warn-only, for noisy shared runners)",
     )
     return parser
 
@@ -1167,85 +1107,6 @@ def _cmd_obs_top(args) -> int:
         print()
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import (
-        CASES,
-        compare_reports,
-        default_output_name,
-        load_report,
-        run_suite,
-    )
-    from repro.bench.results import DEFAULT_THRESHOLD
-
-    if args.bench_command == "run":
-        if args.list_cases:
-            for name, case in CASES.items():
-                print(f"{name:<22} {case.description}")
-            return 0
-        # Benchmarks drive the production code paths, so telemetry is
-        # forced on: the production obs call sites fill the shared
-        # histograms and the snapshot lands inside BENCH_<host>.json.
-        if not obs.enabled():
-            obs.configure(enabled=True, log_level=args.log_level,
-                          log_format=args.log_format)
-        profiler = None
-        if args.profile:
-            from repro.obs.profile import SamplingProfiler
-
-            profiler = SamplingProfiler().start()
-        try:
-            report = run_suite(
-                filters=args.filter, quick=args.quick, repeats=args.repeats
-            )
-        except ValueError as exc:
-            _log.error("bench.bad_filter", error=str(exc))
-            return 2
-        finally:
-            if profiler is not None:
-                profiler.stop()
-        print(report.format_report())
-        output = args.output or Path(default_output_name())
-        path = report.write(output)
-        print(f"results written to {path}")
-        if profiler is not None:
-            collapsed = output.with_suffix(".collapsed")
-            profiler.write(collapsed)
-            print(
-                f"profile ({profiler.samples} samples) written to {collapsed}"
-            )
-        return 1 if any(c.error for c in report.cases) else 0
-
-    # bench compare
-    try:
-        current = load_report(args.current)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        _log.error("bench.bad_current", path=str(args.current), error=str(exc))
-        return 2
-    try:
-        baseline = load_report(args.baseline)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        _log.error(
-            "bench.bad_baseline", path=str(args.baseline), error=str(exc)
-        )
-        return 2
-    if current.quick != baseline.quick:
-        _log.warning(
-            "bench.sizing_mismatch",
-            current_quick=current.quick,
-            baseline_quick=baseline.quick,
-        )
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    result = compare_reports(current, baseline, threshold=threshold)
-    print(result.format_report())
-    if result.has_regressions:
-        if args.fail_on_regression:
-            return 1
-        print("(warn-only: pass --fail-on-regression to make this fatal)")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     obs.configure(
@@ -1265,7 +1126,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": _cmd_chaos,
         "sweep": _cmd_sweep,
         "obs": _cmd_obs,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

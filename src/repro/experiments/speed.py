@@ -7,23 +7,23 @@ iBoxML for emulation at present."
 
 We measure the same quantity for our (smaller, CPU) iBoxML and compare
 with iBoxNet's per-packet emulation cost.  The absolute numbers differ
-from a V100, but the structural conclusion — ML inference is orders of
-magnitude more expensive per packet than the network-model emulator, and
-it bounds the emulatable data rate — is reproduced, including the implied
-maximum emulation rate in Mb/s.
+from a V100.  The working-size iBoxML is cheaper per packet than the
+iBoxNet emulator; the paper-size model (4 layers, ~2 M parameters) costs
+several times more, and that cost bounds the emulatable data rate — the
+implied maximum emulation rate in Mb/s is reported for each.
 
 Each cost is timed over several repetitions on ``time.perf_counter`` and
-reported as the *median* with the MAD alongside (the same robust trio as
-``repro bench``; a mean alone hides scheduler noise on shared machines).
+reported as the *median* with the MAD alongside (a mean alone hides
+scheduler noise on shared machines).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from repro.bench.harness import mad, median
 from repro.core import iboxnet
 from repro.core.iboxml import IBoxMLConfig, IBoxMLModel
 from repro.datasets.pantheon import generate_run
@@ -115,7 +115,8 @@ def _timed_per_item(
         start = time.perf_counter()
         items = fn()
         costs.append((time.perf_counter() - start) / max(items, 1))
-    return median(costs), mad(costs)
+    mid = statistics.median(costs)
+    return mid, statistics.median(abs(c - mid) for c in costs)
 
 
 def run(

@@ -10,7 +10,8 @@ the standard *collapsed-stack* flamegraph text format (one
 directly.
 
 Wall-clock sampling (as opposed to ``cProfile``-style tracing) has two
-properties that matter for the serve daemon and the bench harness:
+properties that matter for the serve daemon and for one-off
+measurements of a hot path:
 
 * overhead is bounded by the sampling rate, not the call rate — the
   default 10ms interval (100 Hz, the same default as py-spy) keeps the
@@ -22,8 +23,7 @@ properties that matter for the serve daemon and the bench harness:
   sampled like any other time, which is exactly what you want when
   diagnosing a stuck service.
 
-Attach via ``repro serve run --profile`` / ``repro bench run --profile``
-or directly::
+Attach via ``repro serve run --profile`` or directly::
 
     from repro.obs.profile import SamplingProfiler
 

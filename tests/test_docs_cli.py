@@ -1,8 +1,9 @@
 """Docs ↔ CLI consistency: every ``repro <cmd>`` the docs name must exist.
 
-README.md and OPERATIONS.md are full of copy-pasteable command lines; a
-renamed or removed subcommand or ``--flag`` must fail CI here rather
-than silently rotting the docs.  The check parses the real parser tree
+README.md and OPERATIONS.md are full of copy-pasteable command lines,
+and PERFORMANCE.md and DESIGN.md name commands too; a renamed or
+removed subcommand or ``--flag`` must fail CI here rather than silently
+rotting the docs.  The check parses the real parser tree
 out of ``repro.cli.build_parser`` and compares it against every ``repro ...``
 invocation found in the docs' code spans (fenced blocks and inline
 backticks — prose is ignored to avoid false matches).
@@ -20,6 +21,8 @@ from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOC_FILES = ("README.md", "OPERATIONS.md")
+#: Every doc whose ``repro ...`` invocations are checked against the parser.
+CLI_CHECKED_DOCS = DOC_FILES + ("PERFORMANCE.md", "DESIGN.md")
 
 _WORD = re.compile(r"^[a-z][a-z-]*$")
 #: Shell tokens that end one ``repro`` invocation on a command line.
@@ -76,11 +79,11 @@ def _doc_invocations(path: Path):
 
 
 def test_docs_exist():
-    for name in DOC_FILES:
+    for name in CLI_CHECKED_DOCS:
         assert (REPO_ROOT / name).exists(), f"{name} is missing"
 
 
-@pytest.mark.parametrize("doc", DOC_FILES)
+@pytest.mark.parametrize("doc", CLI_CHECKED_DOCS)
 def test_every_documented_command_exists(doc):
     tree = command_tree()
     path = REPO_ROOT / doc
@@ -102,7 +105,7 @@ def test_every_documented_command_exists(doc):
     assert seen > 0, f"{doc} names no repro commands at all?"
 
 
-@pytest.mark.parametrize("doc", DOC_FILES)
+@pytest.mark.parametrize("doc", CLI_CHECKED_DOCS)
 def test_every_documented_flag_exists(doc):
     """Each ``--flag`` of a documented invocation must exist on the
     (sub)parser that invocation names."""

@@ -4,7 +4,7 @@ The optimized LSTM forward/step and the iBoxML unroll restructure GEMMs
 (split weights, whole-sequence input projection, fused-tanh gates).  All
 of that is algebraically the same function; the only legitimate drift is
 floating-point association.  These tests pin the optimized paths to the
-faithful pre-optimization implementations in ``repro.bench.reference``
+faithful pre-optimization implementations in ``tests/lstm_reference.py``
 at ≤1e-9 — far above fp-association noise (~1e-15), far below anything
 behavioural.
 """
@@ -12,12 +12,58 @@ behavioural.
 import numpy as np
 import pytest
 
-from repro.bench import reference
 from repro.core.iboxml import IBoxMLConfig, IBoxMLModel
 from repro.ml.lstm import LSTM
 from repro.ml.model import GaussianSequenceModel
+from repro.trace.records import PacketRecord, Trace
+from tests import lstm_reference as reference
 
 GOLDEN_ATOL = 1e-9
+
+
+def _poisson_trace(n: int, seed: int = 0, mean_gap: float = 1e-3) -> Trace:
+    """Synthetic Poisson-arrival trace with smooth queueing-like delays."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(mean_gap, size=n)
+    sent = np.cumsum(gaps)
+    # AR(1) delay process: marginally plausible, temporally smooth.
+    delays = np.empty(n)
+    state = 0.0
+    for i in range(n):
+        state = 0.95 * state + 0.05 * float(rng.normal())
+        delays[i] = 0.02 + 0.005 * state
+    delays = np.clip(delays, 1e-3, None)
+    records = [
+        PacketRecord(
+            uid=i,
+            seq=i,
+            size=int(rng.integers(200, 1500)),
+            sent_at=float(sent[i]),
+            delivered_at=float(sent[i] + delays[i]),
+        )
+        for i in range(n)
+    ]
+    return Trace("bench-synth", records, duration=float(sent[-1]) + 1.0)
+
+
+def _unroll_model(hidden: int, layers: int, n: int, seed: int = 0):
+    """An iBoxML model ready to unroll, without paying for training.
+
+    The unroll only consumes weights and scaler statistics, so random
+    (freshly initialised) weights plus scalers fitted to the feature
+    matrix benchmark exactly the shipped arithmetic.
+    """
+    from repro.core.iboxml import IBoxMLConfig, IBoxMLModel
+
+    trace = _poisson_trace(n, seed)
+    model = IBoxMLModel(
+        IBoxMLConfig(hidden_dim=hidden, num_layers=layers, seed=seed)
+    )
+    feats = model._trace_features(trace, None)
+    model.feature_scaler.fit(feats)
+    model.target_scaler.fit(trace.delays[:, None])
+    model._fitted = True
+    return model, feats
 
 
 @pytest.fixture()
@@ -66,8 +112,6 @@ def test_gaussian_model_step_matches_reference():
 
 @pytest.fixture(scope="module")
 def unroll_model():
-    from repro.bench.suites import _unroll_model
-
     return _unroll_model(hidden=16, layers=2, n=120, seed=5)
 
 
@@ -91,8 +135,6 @@ def test_unroll_float32_within_documented_tolerance(unroll_model):
 
 def test_unroll_dtype_config_roundtrip(tmp_path):
     """unroll_dtype is honoured from config and survives save/load."""
-    from repro.trace.records import PacketRecord, Trace
-
     rng = np.random.default_rng(0)
     sent = np.cumsum(rng.exponential(1e-3, size=80))
     records = [
