@@ -58,11 +58,9 @@ behind one consistent-hashing socket, see :mod:`repro.serve.fleet`.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import signal
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -94,11 +92,9 @@ from repro.serve.supervisor import (
 from repro.serve.transport import (
     MAX_FRAME_BYTES,
     Endpoint,
-    bound_endpoint,
-    encode_frame,
-    frame_too_large_response,
+    FrameServer,
+    invalid_response,
     parse_endpoint,
-    read_frames,
 )
 from repro.trace.io import PathLike
 
@@ -274,8 +270,12 @@ class ServeDaemon:
         self._started_mono = time.monotonic()
         self._started_perf = time.perf_counter()
         self._started_iso = datetime.now(timezone.utc).isoformat()
-        self._server_socket: Optional[socket.socket] = None
-        self._socket_thread: Optional[threading.Thread] = None
+        self._intake = FrameServer(
+            config.endpoint,
+            self._answer,
+            max_frame_bytes=config.max_frame_bytes,
+            idle_timeout_sec=config.intake_idle_sec,
+        )
         #: The actually-bound intake endpoint (set by ``_start_socket``;
         #: resolves ``tcp:...:0`` to the kernel-assigned port).
         self.bound: Optional[Endpoint] = None
@@ -440,13 +440,9 @@ class ServeDaemon:
             }
         if verb == "fetch":
             return self._handle_fetch(raw)
-        return {
-            "status": "rejected",
-            "reason": "invalid",
-            "detail": (
-                f"unknown verb {verb!r} (use 'stats', 'health' or 'fetch')"
-            ),
-        }
+        return invalid_response(
+            f"unknown verb {verb!r} (use 'stats', 'health' or 'fetch')"
+        )
 
     # ------------------------------------------------------------------
     # Result fetch (+ read-repair)
@@ -466,11 +462,7 @@ class ServeDaemon:
         """
         job_id = raw.get("job_id")
         if not isinstance(job_id, str) or not job_id:
-            return {
-                "status": "rejected",
-                "reason": "invalid",
-                "detail": "fetch needs a string job_id",
-            }
+            return invalid_response("fetch needs a string job_id")
         job = self.journal.state.jobs.get(job_id)
         if job is None:
             return {"status": "not_found", "job_id": job_id}
@@ -619,7 +611,7 @@ class ServeDaemon:
         except BadRequest as exc:
             obs.metrics().counter("serve.invalid").inc()
             _log.warning("serve.invalid_request", error=str(exc))
-            return {"status": "rejected", "reason": "invalid", "detail": str(exc)}
+            return invalid_response(str(exc))
         with self._admission:
             self._last_activity = time.monotonic()
             # Transport-only flag (never journaled): the fleet manager
@@ -739,12 +731,15 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # Socket intake (unix or TCP, same framed JSONL protocol)
     # ------------------------------------------------------------------
+    def _answer(self, raw: Any) -> Dict[str, Any]:
+        """One decoded intake frame → its response: a control verb, or a
+        job request for :meth:`admit`."""
+        if isinstance(raw, dict) and "verb" in raw:
+            return self._handle_verb(raw)
+        return self.admit(raw)
+
     def _start_socket(self) -> None:
-        endpoint = self.config.endpoint
-        server = endpoint.listen(backlog=8)
-        server.settimeout(0.2)
-        self.bound = bound_endpoint(server, endpoint)
-        self._server_socket = server
+        self.bound = self._intake.start()
         # Publish the *actual* endpoint (ephemeral TCP ports resolved)
         # so clients and the fleet manager can find us.
         endpoint_file = self.state_dir / ENDPOINT_FILE
@@ -752,92 +747,8 @@ class ServeDaemon:
         tmp.write_text(self.bound.describe() + "\n")
         os.replace(tmp, endpoint_file)
 
-        def _serve_connections():
-            while self._server_socket is not None:
-                try:
-                    conn, _ = server.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                threading.Thread(
-                    target=self._handle_connection, args=(conn,), daemon=True
-                ).start()
-
-        self._socket_thread = threading.Thread(
-            target=_serve_connections, daemon=True
-        )
-        self._socket_thread.start()
-
-    def _handle_connection(self, conn: socket.socket) -> None:
-        """One intake connection: framed JSONL in, one response per frame.
-
-        Hardened per DESIGN.md §14: a per-connection idle deadline (the
-        socket timeout bounds reads *and* the response writes, so both
-        a slow-loris sender and a client that stops reading are
-        evicted, counted, and closed), a per-frame byte cap answered
-        with ``rejected: frame_too_large`` (the assembler resyncs at
-        the next newline, so the connection survives), and
-        malformed-frame accounting.
-        """
-        config = self.config
-        with conn:
-            for kind, payload in read_frames(
-                conn,
-                max_bytes=config.max_frame_bytes,
-                idle_timeout_sec=config.intake_idle_sec,
-            ):
-                if kind == "idle":
-                    obs.metrics().counter("transport.idle_evicted").inc()
-                    _log.warning(
-                        "serve.intake_idle_evicted",
-                        idle_sec=config.intake_idle_sec,
-                    )
-                    return
-                if kind == "too_large":
-                    response = frame_too_large_response(
-                        config.max_frame_bytes
-                    )
-                    _log.warning(
-                        "serve.frame_too_large", bytes=payload
-                    )
-                elif not payload.strip():
-                    continue
-                else:
-                    try:
-                        raw = json.loads(payload)
-                    except json.JSONDecodeError:
-                        obs.metrics().counter(
-                            "transport.malformed_frames"
-                        ).inc()
-                        response = {
-                            "status": "rejected",
-                            "reason": "invalid",
-                            "detail": "undecodable JSON frame",
-                        }
-                    else:
-                        if isinstance(raw, dict) and "verb" in raw:
-                            response = self._handle_verb(raw)
-                        else:
-                            response = self.admit(raw)
-                try:
-                    conn.sendall(encode_frame(response))
-                except socket.timeout:
-                    # The client stopped draining its responses: a
-                    # slow consumer is as dangerous as a slow sender.
-                    obs.metrics().counter(
-                        "transport.slow_client_evicted"
-                    ).inc()
-                    _log.warning("serve.intake_slow_client_evicted")
-                    return
-                except OSError:
-                    return
-
     def _stop_socket(self) -> None:
-        server, self._server_socket = self._server_socket, None
-        if server is not None:
-            server.close()
-        self.config.endpoint.cleanup()
+        self._intake.stop()
         (self.state_dir / ENDPOINT_FILE).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------

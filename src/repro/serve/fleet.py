@@ -12,7 +12,10 @@ invariant.  The manager:
   ``<state>/fleet.sock``; ``--bind tcp:<host>:<port>`` for cross-node
   fleets (the bound endpoint is published in ``<state>/fleet.endpoint``)
   — via :class:`repro.serve.router.FleetRouter`, consistent-hashing each
-  ``job_id`` across the *live* shards (async intake);
+  ``job_id`` across the *live* shards.  The router answers on its own
+  connection threads, so supervision (a sweep that replays a dead
+  shard's journal, fsyncs, waits on a killed process) never delays a
+  request;
 * supervises the shards: a dead process (or a shard the router fails to
   reach) is marked dead, its ring points are removed, its orphaned
   admitted-but-incomplete jobs are handed off to the surviving shards,
@@ -47,12 +50,12 @@ Offline inspection works on the state dir alone (live or dead fleet)::
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,13 +230,19 @@ class FleetManager:
         ]
         self._by_name = {s.name: s for s in self.shards}
         self._ring = HashRing([], config.ring_replicas)
+        #: Guards every write to ``_pending_handoffs``/``_lost_handoffs``
+        #: (the supervision loop) against the copies ``_fleet_section``
+        #: takes on router threads.
+        self._handoff_lock = threading.Lock()
         self._pending_handoffs: Dict[str, Dict[str, Any]] = {}
         #: Handed-off jobs the fleet could not deliver anywhere, by
         #: job_id — kept (with the verbatim request) and surfaced in
         #: health/stats so operators can detect and replay them.
         self._lost_handoffs: Dict[str, Dict[str, Any]] = {}
+        #: Shards the router failed to reach since the last sweep;
+        #: router threads add, :meth:`_sweep` takes the set by swap.
         self._suspect: set = set()
-        self._stop = asyncio.Event()
+        self._stop_signal: Optional[int] = None
         self._started_at = time.time()
         self.router = FleetRouter(
             config.endpoint,
@@ -438,7 +447,8 @@ class FleetManager:
                         # moved-tombstone dedupe if its current ring
                         # owner is the (respawned) shard that moved it.
                         request["requeue"] = True
-                        self._pending_handoffs[job_id] = request
+                        with self._handoff_lock:
+                            self._pending_handoffs[job_id] = request
                         log.warning(
                             "fleet.recovering_lost_handoff",
                             job_id=job_id,
@@ -457,11 +467,14 @@ class FleetManager:
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
         now = time.monotonic()
+        # By swap, not clear(): a suspect the router notes mid-sweep
+        # lands in the fresh set and is judged next sweep.
+        suspects, self._suspect = self._suspect, set()
         for shard in self.shards:
             if shard.status in ("starting", "live"):
                 if not shard.process_alive():
                     self._mark_dead(shard)
-                elif shard.name in self._suspect:
+                elif shard.name in suspects:
                     # The router could not reach it but the process is
                     # up.  One suspect sweep is usually transient (e.g.
                     # mid-restart); a shard that stays unreachable sweep
@@ -527,7 +540,6 @@ class FleetManager:
                 if not shard.needs_handoff and now >= shard.next_restart_at:
                     shard.restarts += 1
                     self._spawn(shard)
-        self._suspect.clear()
 
     def _kill_wedged(self, shard: ShardHandle, reason: str, **fields) -> None:
         """SIGKILL a wedged-but-alive shard so normal death handling runs.
@@ -596,9 +608,10 @@ class FleetManager:
                     job_id = job.request["job_id"]
                     target = self._ring.owner(job_id)
                     journal.moved(job_id, target)
-                    self._pending_handoffs[job_id] = {
-                        **job.request, "requeue": True
-                    }
+                    with self._handoff_lock:
+                        self._pending_handoffs[job_id] = {
+                            **job.request, "requeue": True
+                        }
                     moved += 1
             finally:
                 journal.close()
@@ -609,13 +622,13 @@ class FleetManager:
             metrics().counter("serve.fleet.jobs_moved").inc(moved)
         log.info("fleet.handoff", shard=shard.name, moved=moved)
 
-    async def _pump_handoffs(self) -> None:
+    def _pump_handoffs(self) -> None:
         """Resubmit pending handoffs to their current ring owners."""
         if not self._pending_handoffs:
             return
         still: Dict[str, Dict[str, Any]] = {}
         for job_id, request in list(self._pending_handoffs.items()):
-            response = await self.router.route(request)
+            response = self.router.route(request)
             status = response.get("status")
             if status in ("accepted", "duplicate"):
                 metrics().counter("serve.fleet.jobs_requeued").inc()
@@ -625,13 +638,14 @@ class FleetManager:
                     shard=response.get("shard"),
                     status=status,
                 )
-            elif str(response.get("reason", "")).startswith("invalid"):
+            elif response.get("reason") == "invalid":
                 self._lose_handoff(
                     job_id, request, reason="invalid", response=response
                 )
             else:  # overloaded / circuit open / no live shard: retry
                 still[job_id] = request
-        self._pending_handoffs = still
+        with self._handoff_lock:
+            self._pending_handoffs = still
 
     def _lose_handoff(
         self, job_id: str, request: Dict[str, Any], **detail: Any
@@ -644,28 +658,18 @@ class FleetManager:
         here (surfaced via ``health``/``stats``) lets operators detect
         the loss and replay the job.
         """
-        self._lost_handoffs[job_id] = {"request": dict(request), **detail}
+        with self._handoff_lock:
+            self._lost_handoffs[job_id] = {"request": dict(request), **detail}
         metrics().counter("serve.fleet.jobs_lost").inc()
         log.error("fleet.handoff_lost", job_id=job_id, **detail)
-
-    async def _supervise(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self._sweep()
-                await self._pump_handoffs()
-            except Exception as exc:  # supervision must never die
-                log.error("fleet.supervise_error", error=repr(exc))
-            try:
-                await asyncio.wait_for(
-                    self._stop.wait(), timeout=self.config.supervise_interval_sec
-                )
-            except asyncio.TimeoutError:
-                pass
 
     # ------------------------------------------------------------------
     # Control verbs (router-side ``stats`` / ``health``)
     # ------------------------------------------------------------------
     def _fleet_section(self) -> Dict[str, Any]:
+        with self._handoff_lock:
+            pending = len(self._pending_handoffs)
+            lost = sorted(self._lost_handoffs)
         return {
             "shards": len(self.shards),
             "live": sum(1 for s in self.shards if s.status == "live"),
@@ -673,9 +677,9 @@ class FleetManager:
             "restarts": {
                 s.name: s.restarts for s in self.shards if s.restarts
             },
-            "pending_handoffs": len(self._pending_handoffs),
-            "lost_handoffs": len(self._lost_handoffs),
-            "lost_handoff_jobs": sorted(self._lost_handoffs),
+            "pending_handoffs": pending,
+            "lost_handoffs": len(lost),
+            "lost_handoff_jobs": lost,
             "uptime_sec": round(time.time() - self._started_at, 3),
         }
 
@@ -735,21 +739,15 @@ class FleetManager:
     # ------------------------------------------------------------------
     def run(self) -> int:
         """Start the fleet and block until shutdown; returns exit code."""
+        if threading.current_thread() is threading.main_thread():
+
+            def _on_signal(signum, frame):
+                self._stop_signal = signum
+
+            signal.signal(signal.SIGTERM, _on_signal)
+            signal.signal(signal.SIGINT, _on_signal)
         self.start()
-        return asyncio.run(self._main())
-
-    def _request_stop(self) -> None:
-        log.info("fleet.stop_requested")
-        self._stop.set()
-
-    async def _main(self) -> int:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self._request_stop)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await self.router.start()
+        self.router.start()
         # Publish the actually-bound public endpoint (a ``tcp:...:0``
         # bind's real port is only known post-listen), atomically, and
         # *before* the pid marker so pid-present implies endpoint-known.
@@ -760,31 +758,32 @@ class FleetManager:
         # Readiness marker: handlers installed + router listening, so a
         # fleet that exposes its pid is a fleet that will drain cleanly.
         (self.state_dir / FLEET_PID).write_text(str(os.getpid()))
-        supervisor = asyncio.create_task(self._supervise())
+        max_runtime = self.config.max_runtime_sec
+        started = time.monotonic()
         try:
-            if self.config.max_runtime_sec is not None:
-                try:
-                    await asyncio.wait_for(
-                        self._stop.wait(), timeout=self.config.max_runtime_sec
-                    )
-                except asyncio.TimeoutError:
+            while self._stop_signal is None:
+                if (
+                    max_runtime is not None
+                    and time.monotonic() - started >= max_runtime
+                ):
                     log.warning("fleet.max_runtime_reached")
+                    break
+                try:
+                    self._sweep()
+                    self._pump_handoffs()
+                except Exception as exc:  # supervision must never die
+                    log.error("fleet.supervise_error", error=repr(exc))
+                time.sleep(self.config.supervise_interval_sec)
             else:
-                await self._stop.wait()
+                log.info("fleet.stop_requested", signal=self._stop_signal)
         finally:
-            self._stop.set()
-            supervisor.cancel()
-            try:
-                await supervisor
-            except asyncio.CancelledError:
-                pass
-            await self._drain()
+            self._drain()
         return 0
 
-    async def _drain(self) -> None:
+    def _drain(self) -> None:
         """Stop intake, SIGTERM every shard, wait for their drains."""
         log.info("fleet.draining")
-        await self.router.stop()
+        self.router.stop()
         for shard in self.shards:
             if shard.process_alive():
                 shard.process.send_signal(signal.SIGTERM)
@@ -792,7 +791,7 @@ class FleetManager:
         while time.monotonic() < deadline:
             if all(not s.process_alive() for s in self.shards):
                 break
-            await asyncio.sleep(0.1)
+            time.sleep(0.1)
         for shard in self.shards:
             if shard.process_alive():  # pragma: no cover - last resort
                 log.warning("fleet.shard_kill", shard=shard.name)

@@ -1,4 +1,4 @@
-"""Fleet routing: a consistent-hash ring plus an async intake endpoint.
+"""Fleet routing: a consistent-hash ring plus the fleet's intake endpoint.
 
 Two pieces, deliberately separable:
 
@@ -10,14 +10,15 @@ Two pieces, deliberately separable:
   owner, so a shard death never migrates jobs between *surviving*
   shards.
 
-* :class:`FleetRouter` — the asyncio framed-JSONL front end (unix
-  socket *or* ``tcp:<host>:<port>``, DESIGN.md §14).  Each inbound
-  frame is either a control verb (``{"verb": "stats"}``) answered
-  locally, or a job request: the router normalises it (so the
+* :class:`FleetRouter` — the framed-JSONL front end (unix socket *or*
+  ``tcp:<host>:<port>``, DESIGN.md §14), served by the same threaded
+  :class:`~repro.serve.transport.FrameServer` as every shard daemon.
+  Each inbound frame is either a control verb (``{"verb": "stats"}``)
+  answered locally, or a job request: the router normalises it (so the
   ``job_id`` used for routing is exactly the one the shard will
-  journal), asks its
-  ``owner_of`` callback for the owning live shard, and forwards the
-  frame over that shard's own endpoint, relaying the shard's
+  journal), asks its ``owner_of`` callback for the owning live shard,
+  and forwards the frame to that shard with
+  :func:`~repro.serve.transport.exchange`, relaying the shard's
   accepted/duplicate/rejected response back annotated with
   ``"shard": <name>``.
 
@@ -39,11 +40,8 @@ which owns the shard processes and supplies the ``owner_of`` /
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
-import json
 from bisect import bisect_right
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import get_logger, metrics
@@ -52,12 +50,12 @@ from repro.serve.transport import (
     MAX_FRAME_BYTES,
     Endpoint,
     EndpointLike,
-    FrameAssembler,
-    bound_endpoint,
-    encode_frame,
+    FrameServer,
+    FrameTooLargeError,
+    TransportError,
+    exchange,
     frame_too_large_response,
-    parse_endpoint,
-    read_frame_async,
+    invalid_response,
 )
 
 log = get_logger("repro.serve.router")
@@ -134,7 +132,7 @@ class HashRing:
 
 
 class FleetRouter:
-    """Asyncio unix-socket JSONL intake that forwards to owning shards.
+    """Framed-JSONL intake that forwards job requests to owning shards.
 
     The router is transport + routing only; all admission policy
     (dedupe, breaker, queue shed) stays in the shard daemons, so a
@@ -163,14 +161,14 @@ class FleetRouter:
         fleet manager uses this as an early death signal, ahead of its
         own supervision sweep.
 
-    The intake is hardened per DESIGN.md §14: a per-connection idle
-    deadline (``idle_timeout_sec``) evicts slow-loris clients instead
-    of holding the connection forever, frames over
-    ``max_frame_bytes`` are answered ``rejected: frame_too_large``
-    with the stream resynchronised at the next newline (no
-    connection-killing ``LimitOverrunError``), malformed frames are
-    counted, and a client that stops draining responses is evicted
-    after ``write_timeout_sec``.
+    The intake is a :class:`~repro.serve.transport.FrameServer`, so it
+    is hardened exactly like a shard daemon's (DESIGN.md §14): idle and
+    slow-reading clients are evicted after ``idle_timeout_sec``, frames
+    over ``max_frame_bytes`` are answered ``rejected: frame_too_large``
+    with the stream resynchronised, and undecodable frames are answered
+    ``rejected: invalid``.  Every connection has its own thread, so a
+    slow forward holds up only the client waiting on it; the callbacks
+    are called from those threads.
     """
 
     def __init__(
@@ -187,12 +185,7 @@ class FleetRouter:
         retry_after_sec: float = 1.0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         idle_timeout_sec: float = 60.0,
-        write_timeout_sec: float = 10.0,
     ) -> None:
-        self.endpoint = parse_endpoint(bind)
-        #: The endpoint actually bound (``tcp:...:0`` resolved); set by
-        #: :meth:`start`.
-        self.bound: Optional[Endpoint] = None
         self._owner_of = owner_of
         self._control = control
         self._shards = shards
@@ -201,118 +194,44 @@ class FleetRouter:
         self._forward_timeout_sec = forward_timeout_sec
         self._retry_after_sec = retry_after_sec
         self.max_frame_bytes = max_frame_bytes
-        self.idle_timeout_sec = idle_timeout_sec
-        self.write_timeout_sec = write_timeout_sec
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._server = FrameServer(
+            bind,
+            self.answer,
+            max_frame_bytes=max_frame_bytes,
+            idle_timeout_sec=idle_timeout_sec,
+        )
+        #: The endpoint actually bound (``tcp:...:0`` resolved); set by
+        #: :meth:`start`.
+        self.bound: Optional[Endpoint] = None
 
-    @property
-    def socket_path(self) -> Optional[Path]:
-        """The unix socket path, when bound to one (back-compat)."""
-        return self.endpoint.path if self.endpoint.scheme == "unix" else None
-
-    async def start(self) -> None:
-        if self.endpoint.scheme == "unix":
-            path = self.endpoint.path
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.exists():
-                path.unlink()
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=str(path)
-            )
-            self.bound = self.endpoint
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client,
-                host=self.endpoint.host,
-                port=self.endpoint.port,
-            )
-            sock = self._server.sockets[0]
-            self.bound = bound_endpoint(sock, self.endpoint)
+    def start(self) -> None:
+        self.bound = self._server.start()
         log.info("router.listen", socket=self.bound.describe())
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.endpoint.cleanup()
+    def stop(self) -> None:
+        self._server.stop()
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        assembler = FrameAssembler(self.max_frame_bytes)
-        pending: List[Tuple[str, Any]] = []
-        try:
-            while True:
-                kind, payload = await read_frame_async(
-                    reader, assembler, pending,
-                    idle_timeout_sec=self.idle_timeout_sec,
-                )
-                if kind == "eof":
-                    break
-                if kind == "idle":
-                    # Slow-loris: no byte in idle_timeout_sec.  Close
-                    # and count instead of pinning the intake forever.
-                    metrics().counter("transport.idle_evicted").inc()
-                    log.warning(
-                        "router.idle_evicted",
-                        idle_sec=self.idle_timeout_sec,
-                    )
-                    break
-                if kind == "too_large":
-                    response = frame_too_large_response(self.max_frame_bytes)
-                    log.warning("router.frame_too_large", bytes=payload)
-                else:
-                    if not payload.strip():
-                        continue
-                    response = await self._handle_line(payload)
-                writer.write(encode_frame(response))
-                try:
-                    await asyncio.wait_for(
-                        writer.drain(), timeout=self.write_timeout_sec
-                    )
-                except asyncio.TimeoutError:
-                    # The client stopped reading its responses.
-                    metrics().counter(
-                        "transport.slow_client_evicted"
-                    ).inc()
-                    log.warning("router.slow_client_evicted")
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _handle_line(self, line: bytes) -> Dict[str, Any]:
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            metrics().counter("transport.malformed_frames").inc()
-            return {"status": "rejected", "reason": f"invalid: {exc}"}
+    def answer(self, raw: Any) -> Dict[str, Any]:
+        """One decoded intake frame → its response."""
         if isinstance(raw, dict) and "verb" in raw:
             if raw.get("verb") == "fetch":
-                return await self.fetch(raw)
+                return self.fetch(raw)
             try:
-                payload = self._control(str(raw["verb"]))
-            except Exception as exc:  # control must never kill the loop
+                return self._control(str(raw["verb"]))
+            except Exception as exc:  # a control fault answers, not kills
                 return {"status": "error", "error": str(exc)}
-            return payload
         try:
             request = normalize_request(raw, self._default_timeout_sec)
         except BadRequest as exc:
             metrics().counter("serve.fleet.rejected").inc()
-            return {"status": "rejected", "reason": f"invalid: {exc}"}
+            return invalid_response(str(exc))
         if request.get("timeout_sec") is None:
             # Leave the key absent so the shard applies its own default
             # instead of seeing an explicit null.
             request.pop("timeout_sec", None)
-        return await self.route(request)
+        return self.route(request)
 
-    async def route(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def route(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Forward one normalised request to its owning live shard."""
         job_id = request["job_id"]
         target = self._owner_of(job_id)
@@ -326,11 +245,17 @@ class FleetRouter:
             }
         shard, shard_endpoint = target
         try:
-            response = await asyncio.wait_for(
-                self._forward(shard_endpoint, request),
+            response = exchange(
+                shard_endpoint,
+                [request],
                 timeout=self._forward_timeout_sec,
-            )
-        except (OSError, asyncio.TimeoutError, ValueError) as exc:
+                max_frame_bytes=self.max_frame_bytes,
+            )[0]
+        except FrameTooLargeError:
+            # Normalising added job_id/label to a near-cap frame: the
+            # request is too big, the shard is not at fault.
+            return frame_too_large_response(self.max_frame_bytes)
+        except TransportError as exc:
             log.warning("router.forward_failed", shard=shard, error=str(exc))
             metrics().counter("serve.fleet.forward_failed").inc()
             if self._on_shard_error is not None:
@@ -346,7 +271,7 @@ class FleetRouter:
         response.setdefault("shard", shard)
         return response
 
-    async def fetch(self, raw: Dict[str, Any]) -> Dict[str, Any]:
+    def fetch(self, raw: Dict[str, Any]) -> Dict[str, Any]:
         """Route a ``fetch`` verb: owning shard first, then fan-out.
 
         The job_id hashes to its owning shard exactly as admission did,
@@ -358,11 +283,7 @@ class FleetRouter:
         """
         job_id = raw.get("job_id")
         if not isinstance(job_id, str) or not job_id:
-            return {
-                "status": "rejected",
-                "reason": "invalid",
-                "detail": "fetch needs a string job_id",
-            }
+            return invalid_response("fetch needs a string job_id")
         request = {"verb": "fetch", "job_id": job_id}
         candidates: List[Tuple[str, Endpoint]] = []
         target = self._owner_of(job_id)
@@ -387,11 +308,15 @@ class FleetRouter:
             if index == 1:
                 metrics().counter("serve.fleet.fetch_fanout").inc()
             try:
-                response = await asyncio.wait_for(
-                    self._forward(shard_endpoint, request),
+                response = exchange(
+                    shard_endpoint,
+                    [request],
                     timeout=self._forward_timeout_sec,
-                )
-            except (OSError, asyncio.TimeoutError, ValueError) as exc:
+                    max_frame_bytes=self.max_frame_bytes,
+                )[0]
+            except FrameTooLargeError:
+                return frame_too_large_response(self.max_frame_bytes)
+            except TransportError as exc:
                 log.warning(
                     "router.fetch_forward_failed", shard=shard, error=str(exc)
                 )
@@ -421,43 +346,3 @@ class FleetRouter:
         miss = not_found or moved or {"status": "not_found"}
         miss.setdefault("job_id", job_id)
         return miss
-
-    async def _forward(
-        self, shard_endpoint: EndpointLike, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """One framed request/response exchange with a shard daemon.
-
-        Works over the shard's unix socket or its TCP endpoint — the
-        only thing that changes for a cross-node fleet is this connect.
-        """
-        endpoint = parse_endpoint(shard_endpoint)
-        if endpoint.scheme == "unix":
-            reader, writer = await asyncio.open_unix_connection(
-                str(endpoint.path)
-            )
-        else:
-            reader, writer = await asyncio.open_connection(
-                endpoint.host, endpoint.port
-            )
-        try:
-            writer.write(encode_frame(request))
-            await writer.drain()
-            assembler = FrameAssembler(self.max_frame_bytes)
-            pending: List[Tuple[str, Any]] = []
-            kind, payload = await read_frame_async(reader, assembler, pending)
-            if kind != "frame":
-                raise ConnectionError(
-                    "shard closed the socket mid-protocol"
-                    if kind == "eof"
-                    else f"shard response unusable ({kind})"
-                )
-            response = json.loads(payload)
-            if not isinstance(response, dict):
-                raise ConnectionError("shard returned a non-object response")
-            return response
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass

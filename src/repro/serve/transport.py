@@ -14,10 +14,13 @@ end so the unix and TCP paths cannot drift:
 * :class:`FrameAssembler` — an incremental, transport-agnostic frame
   parser.  It enforces :data:`MAX_FRAME_BYTES` *and resynchronises* at
   the next newline, so one oversized frame costs one ``rejected:
-  frame_too_large`` response instead of the connection (satellite fix
-  for asyncio's connection-killing ``LimitOverrunError``).
-* sync + async read helpers built on the assembler, with per-read idle
-  deadlines — a slow-loris client is evicted, not collected.
+  frame_too_large`` response instead of the connection.
+* :func:`read_frames` — the blocking reader built on the assembler,
+  with a per-read idle deadline.
+* :class:`FrameServer` — the one server side: an accept thread plus a
+  thread per connection, applying the DESIGN.md §14 hardening rules
+  (idle eviction, oversize resync, malformed-frame accounting) once for
+  both the daemon intake and the fleet router.
 * :class:`ResilientClient` — the tentpole: an overall deadline budget,
   bounded retries with exponential backoff + jitter, reconnect on
   half-open/severed connections, ``retry_after_sec`` honoured from
@@ -45,6 +48,7 @@ import json
 import os
 import random
 import socket
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,8 +60,7 @@ _log = get_logger("repro.serve.transport")
 
 #: Hard cap on one JSONL frame (request or response).  Far above any
 #: legitimate job request, far below anything that could pin intake
-#: memory.  asyncio's default StreamReader limit is 64 KiB; we manage
-#: our own buffers, so the cap is explicit rather than inherited.
+#: memory.
 MAX_FRAME_BYTES = 1_048_576
 
 #: Read chunk for the incremental frame readers.
@@ -197,9 +200,9 @@ class FrameAssembler:
       ``max_bytes``; emitted once, then input is discarded until the
       next newline so the *following* frame parses normally.
 
-    Pure and transport-agnostic, so the threaded daemon intake, the
-    asyncio router, and the chaos proxy all share one set of framing
-    semantics (and one set of tests).
+    Pure and transport-agnostic, so :class:`FrameServer`, the client
+    side (:func:`exchange`) and the chaos proxy all share one set of
+    framing semantics (and one set of tests).
     """
 
     def __init__(self, max_bytes: int = MAX_FRAME_BYTES) -> None:
@@ -255,6 +258,13 @@ def frame_too_large_response(max_bytes: int) -> Dict[str, Any]:
     }
 
 
+def invalid_response(detail: str) -> Dict[str, Any]:
+    """The server's answer to a frame it cannot act on: undecodable
+    JSON, a request that fails validation, an unknown verb.  Terminal:
+    the client must fix the request, not wait."""
+    return {"status": "rejected", "reason": "invalid", "detail": detail}
+
+
 def read_frames(
     conn: socket.socket,
     max_bytes: int = MAX_FRAME_BYTES,
@@ -284,36 +294,102 @@ def read_frames(
             yield event
 
 
-async def read_frame_async(
-    reader,
-    buffer: FrameAssembler,
-    pending: List[Tuple[str, Any]],
-    idle_timeout_sec: Optional[float] = None,
-) -> Tuple[str, Any]:
-    """One framing event from an asyncio StreamReader.
+class FrameServer:
+    """Threaded framed-JSONL server: one accept thread, one thread per
+    connection, and ``answer(obj) -> dict`` called for every decoded
+    frame, its return value sent back as the response frame.
 
-    ``buffer``/``pending`` are per-connection state owned by the
-    caller.  Returns ``("frame", bytes)``, ``("too_large", n)``,
-    ``("idle", None)`` or ``("eof", None)``.  Never raises
-    ``LimitOverrunError``: the assembler resynchronises instead.
+    The daemon intake and the fleet router both serve through this
+    class, so the DESIGN.md §14 hardening rules live here once: the
+    idle deadline is the socket timeout and so also bounds response
+    writes, an oversized frame is answered ``frame_too_large`` and the
+    stream resyncs, and an undecodable frame is answered ``invalid``.
+
+    ``answer`` runs on the connection's thread, so it may block (a
+    journal fsync, a forward to a shard) without stalling other
+    connections; shared state it touches needs its own lock.
     """
-    import asyncio
 
-    while True:
-        if pending:
-            return pending.pop(0)
-        try:
-            if idle_timeout_sec is not None:
-                chunk = await asyncio.wait_for(
-                    reader.read(_CHUNK), timeout=idle_timeout_sec
-                )
-            else:
-                chunk = await reader.read(_CHUNK)
-        except asyncio.TimeoutError:
-            return ("idle", None)
-        if not chunk:
-            return ("eof", None)
-        pending.extend(buffer.feed(chunk))
+    def __init__(
+        self,
+        endpoint: EndpointLike,
+        answer: Callable[[Any], Dict[str, Any]],
+        max_frame_bytes: int = MAX_FRAME_BYTES,
+        idle_timeout_sec: Optional[float] = 60.0,
+    ) -> None:
+        self.endpoint = parse_endpoint(endpoint)
+        self.max_frame_bytes = max_frame_bytes
+        self.idle_timeout_sec = idle_timeout_sec
+        self._answer = answer
+        self._server: Optional[socket.socket] = None
+        #: The endpoint actually bound (``tcp:...:0`` resolved); set by
+        #: :meth:`start`.
+        self.bound: Optional[Endpoint] = None
+
+    def start(self) -> Endpoint:
+        """Listen and start accepting; returns the bound endpoint."""
+        server = self.endpoint.listen()
+        server.settimeout(0.2)
+        self._server = server
+        self.bound = bound_endpoint(server, self.endpoint)
+        threading.Thread(
+            target=self._accept, args=(server,), daemon=True
+        ).start()
+        return self.bound
+
+    def stop(self) -> None:
+        """Stop accepting and remove a unix socket file.  Connections
+        already open finish on their own threads."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        self.endpoint.cleanup()
+
+    def _accept(self, server: socket.socket) -> None:
+        while self._server is server:
+            try:
+                conn, _ = server.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            threading.Thread(
+                target=self._serve, args=(conn,), daemon=True
+            ).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        with conn:
+            for kind, payload in read_frames(
+                conn, self.max_frame_bytes, self.idle_timeout_sec
+            ):
+                if kind == "idle":
+                    metrics().counter("transport.idle_evicted").inc()
+                    _log.warning(
+                        "transport.idle_evicted",
+                        idle_sec=self.idle_timeout_sec,
+                    )
+                    return
+                if kind == "too_large":
+                    _log.warning("transport.frame_too_large", bytes=payload)
+                    response = frame_too_large_response(self.max_frame_bytes)
+                elif not payload.strip():
+                    continue
+                else:
+                    try:
+                        obj = json.loads(payload)
+                    except ValueError:  # not JSON, or not even UTF-8
+                        metrics().counter("transport.malformed_frames").inc()
+                        response = invalid_response("undecodable JSON frame")
+                    else:
+                        response = self._answer(obj)
+                try:
+                    conn.sendall(encode_frame(response))
+                except socket.timeout:
+                    metrics().counter("transport.slow_client_evicted").inc()
+                    _log.warning("transport.slow_client_evicted")
+                    return
+                except OSError:
+                    return
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.datasets.pantheon import generate_dataset, generate_run
+from repro.serve.transport import FrameServer
 from repro.simulation import units
 from repro.simulation.topology import (
     ConstantBandwidth,
@@ -92,3 +93,30 @@ def vegas_traces():
         n_paths=4, protocols=("vegas",), duration=12.0, base_seed=60
     )
     return dataset.traces()
+
+
+@pytest.fixture()
+def fake_shard(tmp_path):
+    """``make(reply) -> (server, seen)``: a :class:`FrameServer` standing
+    in for a shard daemon.  It records every request in ``seen`` and
+    answers ``reply`` annotated with the request's ``job_id``."""
+    servers = []
+
+    def make(reply=None):
+        seen = []
+
+        def answer(request):
+            seen.append(request)
+            return {
+                **(reply or {"status": "accepted"}),
+                "job_id": request.get("job_id"),
+            }
+
+        server = FrameServer(tmp_path / f"shard-{len(servers)}.sock", answer)
+        server.start()
+        servers.append(server)
+        return server, seen
+
+    yield make
+    for server in servers:
+        server.stop()

@@ -8,12 +8,12 @@ mid-run, and demands exactly-once completion fleet-wide.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -33,6 +33,7 @@ from repro.serve import (
     is_fleet_state,
     serve_status,
 )
+from repro.serve.transport import exchange
 
 
 # ----------------------------------------------------------------------
@@ -359,16 +360,72 @@ class TestFleetSupervision:
         request = {"job_id": "bad", "kind": "chaos", "params": {}}
         manager._pending_handoffs["bad"] = request
 
-        async def fake_route(req):
-            return {"status": "rejected", "reason": "invalid: boom"}
+        def fake_route(req):
+            return {
+                "status": "rejected", "reason": "invalid", "detail": "boom"
+            }
 
         manager.router.route = fake_route
-        asyncio.run(manager._pump_handoffs())
+        manager._pump_handoffs()
         assert manager._pending_handoffs == {}
         assert manager._lost_handoffs["bad"]["request"] == request
         section = manager._fleet_section()
         assert section["lost_handoffs"] == 1
         assert section["lost_handoff_jobs"] == ["bad"]
+
+    def test_suspect_noted_mid_sweep_is_judged_next_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        """Router threads note suspects while a sweep runs; the sweep
+        must not discard what arrived after it started."""
+        manager = self._manager(tmp_path)
+        shard = manager.shards[0]
+        proc = self._sleeper()
+        try:
+            shard.process = proc
+            shard.status = "live"
+
+            def snapshot_meanwhile(state_dir):
+                manager._note_suspect(shard.name)
+                return None
+
+            monkeypatch.setattr(
+                "repro.serve.fleet.read_live_snapshot", snapshot_meanwhile
+            )
+            manager._sweep()
+            assert manager._suspect == {shard.name}
+            monkeypatch.undo()
+            manager._sweep()
+            assert shard.suspect_sweeps == 1
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    def test_intake_answers_while_supervision_is_busy(
+        self, tmp_path, monkeypatch
+    ):
+        """A slow sweep (journal replay, fsync, waiting on a killed
+        shard) must not delay requests: the router answers on its own
+        threads."""
+        manager = self._manager(tmp_path, max_runtime_sec=4)
+        monkeypatch.setattr(manager, "start", lambda: None)
+        monkeypatch.setattr(manager, "_sweep", lambda: time.sleep(1.0))
+        runner = threading.Thread(target=manager.run, daemon=True)
+        runner.start()
+        try:
+            assert wait_for(
+                lambda: (manager.state_dir / "fleet.pid").exists(), 10,
+                poll=0.02,
+            )
+            endpoint = (manager.state_dir / "fleet.endpoint").read_text()
+            for _ in range(5):
+                began = time.monotonic()
+                response = exchange(endpoint.strip(), [{"verb": "health"}])
+                assert response[0]["status"] == "ok"
+                assert time.monotonic() - began < 0.3
+        finally:
+            runner.join(timeout=15)
+        assert not runner.is_alive()
 
 
 class TestFleetStatusRouterProbe:
@@ -391,79 +448,46 @@ class TestFleetStatusRouterProbe:
 # Router forwarding (in-process fake shard; no subprocesses)
 # ----------------------------------------------------------------------
 class TestFleetRouter:
-    def _fake_shard(self, socket_path: Path, reply: dict):
-        async def handle(reader, writer):
-            line = await reader.readline()
-            request = json.loads(line)
-            response = {**reply, "job_id": request.get("job_id")}
-            writer.write((json.dumps(response) + "\n").encode())
-            await writer.drain()
-            writer.close()
-
-        return asyncio.start_unix_server(handle, path=str(socket_path))
-
-    def test_forwards_and_annotates_shard(self, tmp_path):
-        async def scenario():
-            shard_sock = tmp_path / "shard.sock"
-            server = await self._fake_shard(
-                shard_sock, {"status": "accepted"}
-            )
-            router = FleetRouter(
-                tmp_path / "fleet.sock",
-                owner_of=lambda job_id: ("shard-7", shard_sock),
-                control=lambda verb: {"status": "ok", "verb": verb},
-            )
-            await router.start()
-            try:
-                response = await router.route(
-                    {"job_id": "j1", "kind": "chaos", "params": {},
-                     "label": "j1", "class": "chaos"}
-                )
-            finally:
-                await router.stop()
-                server.close()
-                await server.wait_closed()
-            return response
-
-        response = asyncio.run(scenario())
+    def test_forwards_and_annotates_shard(self, tmp_path, fake_shard):
+        shard, _ = fake_shard({"status": "accepted"})
+        router = FleetRouter(
+            tmp_path / "fleet.sock",
+            owner_of=lambda job_id: ("shard-7", shard.bound),
+            control=lambda verb: {"status": "ok", "verb": verb},
+        )
+        response = router.route(
+            {"job_id": "j1", "kind": "chaos", "params": {},
+             "label": "j1", "class": "chaos"}
+        )
         assert response["status"] == "accepted"
         assert response["shard"] == "shard-7"
         assert response["job_id"] == "j1"
 
     def test_unreachable_shard_rejects_and_reports(self, tmp_path):
         suspected = []
-
-        async def scenario():
-            router = FleetRouter(
-                tmp_path / "fleet.sock",
-                owner_of=lambda job_id: (
-                    "shard-9", tmp_path / "nowhere.sock"
-                ),
-                control=lambda verb: {},
-                on_shard_error=suspected.append,
-            )
-            return await router.route(
-                {"job_id": "j2", "kind": "chaos", "params": {}}
-            )
-
-        response = asyncio.run(scenario())
+        router = FleetRouter(
+            tmp_path / "fleet.sock",
+            owner_of=lambda job_id: ("shard-9", tmp_path / "nowhere.sock"),
+            control=lambda verb: {},
+            on_shard_error=suspected.append,
+        )
+        response = router.route(
+            {"job_id": "j2", "kind": "chaos", "params": {}}
+        )
         assert response["status"] == "rejected"
         assert response["reason"] == "shard_unavailable"
         assert response["retry_after_sec"] > 0
         assert suspected == ["shard-9"]
 
     def test_no_live_shard_rejects_with_retry_hint(self, tmp_path):
-        async def scenario():
-            router = FleetRouter(
-                tmp_path / "fleet.sock",
-                owner_of=lambda job_id: None,
-                control=lambda verb: {},
-            )
-            return await router.route(
-                {"job_id": "j3", "kind": "chaos", "params": {}}
-            )
-
-        response = asyncio.run(scenario())
+        router = FleetRouter(
+            tmp_path / "fleet.sock",
+            owner_of=lambda job_id: None,
+            control=lambda verb: {},
+        )
+        response = router.route(
+            {"job_id": "j3", "kind": "chaos", "params": {}}
+        )
         assert response["status"] == "rejected"
         assert response["reason"] == "no_live_shard"
 

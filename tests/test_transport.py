@@ -3,23 +3,27 @@
 Covers DESIGN.md §14: endpoint parsing, frame assembly with oversize
 resync, the one-shot exchange's partial-batch contract, ResilientClient
 retry / backoff / retry-after / deadline semantics against scripted
-fake servers, the hardened daemon intake (oversize, garbage, idle
-eviction, duplicate dedupe) over both unix and tcp, the asyncio
-router's equivalents, and :class:`NetChaosProxy` determinism.
+fake servers, the hardened :class:`FrameServer` intake (oversize,
+garbage, idle eviction, duplicate dedupe) through the daemon over both
+unix and tcp and through the fleet router, and :class:`NetChaosProxy`
+determinism.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.guard.netchaos import NetChaosConfig, NetChaosProxy
 from repro.serve.daemon import ENDPOINT_FILE, ServeConfig, ServeDaemon
@@ -594,106 +598,118 @@ class TestDaemonExactlyOnce:
 
 
 # ----------------------------------------------------------------------
-# Router intake: same hardening, asyncio side
+# Router intake: the same FrameServer, forwarding to shards
 # ----------------------------------------------------------------------
-class TestRouterIntake:
-    def test_oversize_rejected_then_connection_usable(self, tmp_path):
-        async def scenario():
-            router = FleetRouter(
-                tmp_path / "fleet.sock",
-                owner_of=lambda job_id: None,
-                control=lambda verb: {"status": "ok", "verb": verb},
-                max_frame_bytes=1024,
-            )
-            await router.start()
-            try:
-                reader, writer = await asyncio.open_unix_connection(
-                    str(tmp_path / "fleet.sock")
-                )
-                writer.write(b"w" * 4096 + b"\n")
-                writer.write(encode_frame({"verb": "stats"}))
-                await writer.drain()
-                first = json.loads(await reader.readline())
-                second = json.loads(await reader.readline())
-                writer.close()
-                return first, second
-            finally:
-                await router.stop()
+@pytest.fixture()
+def router_factory(tmp_path):
+    routers = []
 
-        first, second = asyncio.run(scenario())
+    def make(bind=None, **kwargs):
+        kwargs.setdefault("owner_of", lambda job_id: None)
+        kwargs.setdefault(
+            "control", lambda verb: {"status": "ok", "verb": verb}
+        )
+        router = FleetRouter(bind or tmp_path / "fleet.sock", **kwargs)
+        router.start()
+        routers.append(router)
+        return router
+
+    yield make
+    for router in routers:
+        router.stop()
+
+
+class TestRouterIntake:
+    def test_oversize_rejected_then_connection_usable(self, router_factory):
+        router = router_factory(max_frame_bytes=1024)
+        with router.bound.connect(timeout=5.0) as conn:
+            conn.sendall(b"w" * 4096 + b"\n" + encode_frame({"verb": "stats"}))
+            first, second = _recv_objects(conn, 2)
         assert first["reason"] == "frame_too_large"
         assert second == {"status": "ok", "verb": "stats"}
         assert (
             obs.metrics().counter("transport.frames_too_large").value == 1
         )
 
-    def test_idle_client_is_evicted(self, tmp_path):
-        async def scenario():
-            router = FleetRouter(
-                tmp_path / "fleet.sock",
-                owner_of=lambda job_id: None,
-                control=lambda verb: {},
-                idle_timeout_sec=0.2,
-            )
-            await router.start()
-            try:
-                reader, writer = await asyncio.open_unix_connection(
-                    str(tmp_path / "fleet.sock")
-                )
-                eof = await asyncio.wait_for(reader.read(), timeout=5.0)
-                writer.close()
-                return eof
-            finally:
-                await router.stop()
-
-        assert asyncio.run(scenario()) == b""
+    def test_idle_client_is_evicted(self, router_factory):
+        router = router_factory(idle_timeout_sec=0.2)
+        with router.bound.connect(timeout=5.0) as conn:
+            assert conn.recv(_CHUNK) == b""  # server hung up on us
         assert obs.metrics().counter("transport.idle_evicted").value == 1
 
-    def test_tcp_bind_forwards_to_shard(self, tmp_path):
+    def test_tcp_bind_forwards_to_shard(self, router_factory, fake_shard):
         """A tcp-bound router forwarding to a unix shard: the cross-node
         front door over the single-host shard fabric."""
-
-        async def scenario():
-            shard_sock = tmp_path / "shard.sock"
-
-            async def handle(reader, writer):
-                line = await reader.readline()
-                request = json.loads(line)
-                writer.write(encode_frame(
-                    {"status": "accepted", "job_id": request.get("job_id")}
-                ))
-                await writer.drain()
-                writer.close()
-
-            server = await asyncio.start_unix_server(
-                handle, path=str(shard_sock)
-            )
-            router = FleetRouter(
-                "tcp:127.0.0.1:0",
-                owner_of=lambda job_id: ("shard-3", shard_sock),
-                control=lambda verb: {"status": "ok"},
-            )
-            await router.start()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    router.bound.host, router.bound.port
-                )
-                writer.write(encode_frame(
-                    {"job_id": "jx", "kind": "chaos", "params": {},
-                     "label": "jx", "class": "chaos"}
-                ))
-                await writer.drain()
-                response = json.loads(await reader.readline())
-                writer.close()
-                return response
-            finally:
-                await router.stop()
-                server.close()
-                await server.wait_closed()
-
-        response = asyncio.run(scenario())
+        shard, _ = fake_shard()
+        router = router_factory(
+            "tcp:127.0.0.1:0",
+            owner_of=lambda job_id: ("shard-3", shard.bound),
+        )
+        response = exchange(router.bound, [
+            {"job_id": "jx", "kind": "chaos", "params": {},
+             "label": "jx", "class": "chaos"}
+        ])[0]
         assert response["status"] == "accepted"
         assert response["shard"] == "shard-3"
+
+    def test_invalid_frames_answer_the_daemon_rejection_shape(
+        self, router_factory
+    ):
+        """Garbage (non-JSON, non-UTF-8) and a request without ``kind``
+        are rejected exactly as a shard daemon rejects them: reason
+        ``invalid`` + detail, on a connection that stays usable."""
+        router = router_factory()
+        with router.bound.connect(timeout=5.0) as conn:
+            conn.sendall(b"this is not json\n\xff\xfe\n")
+            conn.sendall(encode_frame({"params": {}}))
+            responses = _recv_objects(conn, 3)
+        for response in responses:
+            assert response["status"] == "rejected"
+            assert response["reason"] == "invalid"
+            assert response["detail"]
+        assert (
+            obs.metrics().counter("transport.malformed_frames").value == 2
+        )
+
+    def test_near_cap_request_does_not_blame_the_shard(
+        self, router_factory, fake_shard
+    ):
+        """Normalising adds job_id/label, pushing a near-cap frame over
+        the cap on the way to the shard: the answer is
+        ``frame_too_large`` and the shard is neither contacted with the
+        request nor reported unreachable."""
+        shard, seen = fake_shard()
+        suspected = []
+        router = router_factory(
+            owner_of=lambda job_id: ("shard-1", shard.bound),
+            on_shard_error=suspected.append,
+        )
+        request = {"kind": "chaos", "params": {"pad": ""}}
+        pad = MAX_FRAME_BYTES - 64 - len(encode_frame(request)) + 1
+        request["params"]["pad"] = "p" * pad
+        assert len(encode_frame(request)) - 1 == MAX_FRAME_BYTES - 64
+        response = exchange(router.bound, [request])[0]
+        assert response["status"] == "rejected"
+        assert response["reason"] == "frame_too_large"
+        assert suspected == []
+        assert seen == []
+
+
+def test_cli_import_loads_neither_asyncio_nor_ssl():
+    """Every daemon, shard, router and CLI process imports repro.cli;
+    the threaded transport keeps asyncio (and the ssl it drags in) out
+    of all of them."""
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted({'asyncio', 'ssl'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src_root},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
