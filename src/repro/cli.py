@@ -243,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 30)",
     )
     serve_run.add_argument(
-        "--poll-interval", type=float, default=0.05,
-        help="scheduler tick in seconds (default: 0.05)",
-    )
-    serve_run.add_argument(
         "--idle-exit-sec", type=float, default=None,
         help="drain and exit 0 after being idle this long (default: never)",
     )
@@ -776,7 +772,6 @@ def _cmd_serve(args) -> int:
                 bind=args.bind,
                 workers=args.workers,
                 queue_limit=args.queue_limit,
-                poll_interval=args.poll_interval,
                 default_timeout_sec=args.default_timeout,
                 drain_timeout_sec=args.drain_timeout,
                 breaker_threshold=args.breaker_threshold,

@@ -487,7 +487,6 @@ def _serve(workdir: Path, log_name: str, timeout_sec: float,
                 "--bind", bind or f"unix:{state / 'fleet.sock'}"]
     else:
         argv = ["serve", "run", "--workers", workers,
-                "--poll-interval", "0.05",
                 "--bind", bind or f"unix:{state / 'serve.sock'}"]
     argv += ["--state", state, "--snapshot-interval", "0.5",
              "--max-runtime-sec", "150"]
@@ -1060,7 +1059,7 @@ def _storage_enospc_phase(
     # In-process and driven by tick(): the socket is never opened.
     daemon = ServeDaemon(ServeConfig(
         state_dir=state, socket_path=state / "serve.sock", workers=1,
-        queue_limit=8, poll_interval=0.01, drain_timeout_sec=15.0,
+        queue_limit=8, drain_timeout_sec=15.0,
         disk_probe_interval_sec=0.05, fsync=True,
     ))
     try:

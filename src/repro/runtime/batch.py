@@ -51,7 +51,6 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -273,17 +272,7 @@ class _BatchRun:
                                 "ran out before this job finished")
                 return
             self._dispatch_ready(sup, now)
-            timeout = self._wake_after(sup, deadline, now)
-            processes = [lease.process for lease in sup.in_flight()]
-            if processes:
-                ready = wait([p.sentinel for p in processes], timeout)
-                for process in processes:
-                    if process.sentinel in ready:
-                        # The pipe closes just before the child can be
-                        # reaped; wait that out rather than spin on it.
-                        process.join(1.0)
-            elif timeout:
-                time.sleep(timeout)
+            sup.wait(self._wake_after(deadline, now))
 
     def _dispatch_ready(self, sup, now: float) -> None:
         still = []
@@ -308,14 +297,12 @@ class _BatchRun:
                 self._finish(JobResult(spec, "failed", error=error, attempts=attempt))
         self.waiting = still
 
-    def _wake_after(self, sup, deadline, now: float) -> Optional[float]:
-        """Seconds until the next lease deadline, budget deadline or
-        retry; None means only a worker exit matters."""
-        times = [lease.deadline_mono for lease in sup.in_flight()
-                 if lease.deadline_mono is not None]
+    def _wake_after(self, deadline, now: float) -> Optional[float]:
+        """Seconds until the budget deadline or the next retry; None
+        means only the supervisor's own events matter."""
+        times = [ready for ready, _, _ in self.waiting if ready > now]
         if deadline is not None:
             times.append(deadline)
-        times += [ready for ready, _, _ in self.waiting if ready > now]
         return max(0.0, min(times) - now) if times else None
 
     def _on_event(self, event, retry: bool = True) -> None:

@@ -34,6 +34,10 @@ The invariants (DESIGN.md §10):
   leases finish (up to ``drain_timeout_sec``, then checkpoint/requeue),
   flush the journal, write a complete run manifest, and exit 0.
 
+The loop has no tick: it blocks in :meth:`Supervisor.wait` until a
+worker exits, the nearest deadline it tracks comes due, or intake or a
+signal writes a byte to its wake pipe.
+
 Embedding the daemon (the CLI's ``repro serve run`` does exactly
 this)::
 
@@ -110,6 +114,12 @@ _log = obs.get_logger("repro.serve")
 #: recorded ``failed`` (WorkerCrashLoop) instead of looping forever.
 DEFAULT_MAX_LEASES = 3
 
+#: ``retry_after_sec`` on a ``pending`` fetch answer.
+RETRY_HINT_SEC = 0.2
+#: How long a job waits when its class breaker refuses it while a
+#: half-open probe is already in flight.
+PROBE_WAIT_SEC = 0.05
+
 #: Cap on the daemon's in-memory trace buffer (a service alive for days
 #: must not grow it without bound; the flight ring keeps the recent tail).
 EVENT_BUFFER_MAXLEN = 4096
@@ -138,7 +148,6 @@ class ServeConfig:
     bind: Optional[str] = None
     workers: int = 2
     queue_limit: int = 64
-    poll_interval: float = 0.05
     default_timeout_sec: Optional[float] = None
     drain_timeout_sec: float = 15.0
     max_leases: int = DEFAULT_MAX_LEASES
@@ -266,6 +275,12 @@ class ServeDaemon:
         #: exist, so nothing is lost — only not yet durable in the WAL).
         self._unjournaled: List[LeaseEvent] = []
         self._stop_signal: Optional[int] = None
+        #: Self-pipe waking the run loop: intake queue pushes and signals
+        #: (``signal.set_wakeup_fd``) write a byte to it.
+        self._wake_r, self._wake_w = os.pipe()
+        for fd in (self._wake_r, self._wake_w):
+            os.set_blocking(fd, False)
+        self._prev_wakeup_fd: Optional[int] = None
         self._last_activity = time.monotonic()
         self._started_mono = time.monotonic()
         self._started_perf = time.perf_counter()
@@ -447,9 +462,6 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # Result fetch (+ read-repair)
     # ------------------------------------------------------------------
-    def _retry_hint(self) -> float:
-        return max(self.config.poll_interval * 4, 0.2)
-
     def _handle_fetch(self, raw: Dict[str, Any]) -> Dict[str, Any]:
         """The ``fetch`` verb: return a job's verified result by id.
 
@@ -502,7 +514,7 @@ class ServeDaemon:
             "status": "pending",
             "job_id": job_id,
             "state": job.status,
-            "retry_after_sec": self._retry_hint(),
+            "retry_after_sec": RETRY_HINT_SEC,
         }
 
     def _read_repair(
@@ -529,11 +541,12 @@ class ServeDaemon:
                     self._enter_disk_shedding("journal.requeued", exc)
                     return self._disk_full_response(job_id)
                 self.queue.push(job.request, force=True)
+                self._wake()
         return {
             "status": "pending",
             "job_id": job_id,
             "state": "repairing",
-            "retry_after_sec": self._retry_hint(),
+            "retry_after_sec": RETRY_HINT_SEC,
         }
 
     # ------------------------------------------------------------------
@@ -669,6 +682,7 @@ class ServeDaemon:
                     # the fault: the job is durably admitted, so honour
                     # that promise and queue it rather than shed it.
                     self.queue.push(request, force=True)
+                    self._wake()
                     return {"status": "accepted", "job_id": job_id}
                 return self._disk_full_response(job_id)
 
@@ -725,6 +739,7 @@ class ServeDaemon:
         else:
             self.journal.submitted(request)
         self.queue.push(request)
+        self._wake()
         obs.metrics().counter("serve.admitted").inc()
         return {"status": "accepted", "job_id": job_id}
 
@@ -772,11 +787,11 @@ class ServeDaemon:
 
         The job stays ``pending`` in the journal — the daemon made an
         "accepted" promise and keeps it: the job waits out the cooldown
-        (or a poll interval, when a half-open probe is already in
+        (or :data:`PROBE_WAIT_SEC`, when a half-open probe is already in
         flight) instead of being terminally rejected.
         """
         cooldown = self.breaker.remaining_cooldown(job_class)
-        delay = cooldown if cooldown > 0 else max(self.config.poll_interval, 0.05)
+        delay = cooldown if cooldown > 0 else PROBE_WAIT_SEC
         self._deferred.append((time.monotonic() + delay, request))
         obs.metrics().counter("serve.deferred").inc()
         _log.info(
@@ -930,15 +945,45 @@ class ServeDaemon:
         for event in events:
             self._safe_handle_event(event)
 
-    def tick(self) -> None:
-        """One deterministic scheduling step (tests call this directly)."""
+    def _reap(self) -> None:
         if self._shedding is not None:
             self._probe_disk()
         self._replay_unjournaled()
-        self._dispatch()
         for event in self.supervisor.poll():
             self._safe_handle_event(event)
+
+    def tick(self) -> None:
+        """One deterministic scheduling step (tests call this directly);
+        it reaps first, so a slot it frees is refilled before the wait."""
+        self._reap()
+        self._dispatch()
         obs.metrics().gauge("serve.busy_workers").set(self.supervisor.busy)
+
+    def _wake(self) -> None:
+        """Wake the run loop; the caller holds ``_admission``."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except OSError:  # full (the loop is woken already) or closed
+            pass
+
+    def _wait(self, until: Optional[float] = None) -> None:
+        """Block until an event or the nearest deadline the loop tracks
+        (only ``until`` and the disk probe while draining)."""
+        times = [self._disk_probe_at] if self._shedding is not None else []
+        if until is not None:
+            times.append(until)
+        else:
+            if self._shedding is None:
+                times += [at for at, _ in self._deferred]
+            config = self.config
+            if config.max_runtime_sec is not None:
+                times.append(self._started_mono + config.max_runtime_sec)
+            if (config.idle_exit_sec is not None and len(self.queue) == 0
+                    and not self._deferred and self.supervisor.busy == 0):
+                times.append(self._last_activity + config.idle_exit_sec)
+        timeout = max(0.0, min(times) - time.monotonic()) if times else None
+        if self.supervisor.wait(timeout, extra=(self._wake_r,)):
+            os.read(self._wake_r, 1 << 16)  # a default pipe's capacity
 
     def _install_signals(self) -> None:
         if threading.current_thread() is not threading.main_thread():
@@ -949,6 +994,8 @@ class ServeDaemon:
 
         signal.signal(signal.SIGTERM, _on_signal)
         signal.signal(signal.SIGINT, _on_signal)
+        # PEP 475 resumes a wait after the handler; the pipe byte ends it.
+        self._prev_wakeup_fd = signal.set_wakeup_fd(self._wake_w)
 
     def _should_stop(self) -> bool:
         if self._stop_signal is not None:
@@ -996,7 +1043,7 @@ class ServeDaemon:
         try:
             while not self._should_stop():
                 self.tick()
-                time.sleep(self.config.poll_interval)
+                self._wait()
         except Exception as exc:
             # The last seconds of telemetry before an unhandled daemon
             # exception are exactly what the autopsy needs.
@@ -1026,13 +1073,16 @@ class ServeDaemon:
             self._stop_socket()
             deadline = time.monotonic() + self.config.drain_timeout_sec
             while self.supervisor.busy and time.monotonic() < deadline:
-                if self._shedding is not None:
-                    self._probe_disk()
-                self._replay_unjournaled()
-                for event in self.supervisor.poll():
-                    self._safe_handle_event(event)
+                self._reap()
                 if self.supervisor.busy:
-                    time.sleep(self.config.poll_interval)
+                    self._wait(until=deadline)
+            if self._prev_wakeup_fd is not None:
+                signal.set_wakeup_fd(self._prev_wakeup_fd)
+            with self._admission:  # no intake write may hit a closed fd
+                if self._wake_w >= 0:
+                    os.close(self._wake_r)
+                    os.close(self._wake_w)
+                    self._wake_w = -1
             # Checkpoint anything still running: kill the worker, requeue
             # the lease — the job stays pending in the journal, so the
             # next daemon picks it up where this one left off.

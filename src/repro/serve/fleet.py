@@ -109,7 +109,6 @@ class FleetConfig:
     queue_limit: int = 64
     default_timeout_sec: Optional[float] = None
     drain_timeout_sec: float = 15.0
-    shard_poll_interval: float = 0.05
     supervise_interval_sec: float = 0.25
     heartbeat_timeout_sec: float = 10.0
     #: Consecutive supervision sweeps a shard may stay router-suspect
@@ -305,8 +304,6 @@ class FleetManager:
             str(config.workers_per_shard),
             "--queue-limit",
             str(config.queue_limit),
-            "--poll-interval",
-            str(config.shard_poll_interval),
             "--drain-timeout",
             str(config.drain_timeout_sec),
             "--snapshot-interval",

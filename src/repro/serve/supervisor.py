@@ -23,10 +23,9 @@ still counting its way open.  Process liveness is the heartbeat —
 ``Process.is_alive()`` is checked every poll, which is exactly the
 signal a kernel-killed worker stops emitting.
 
-Dispatch/poll, driven by hand (the daemon's scheduler tick does the
-same loop)::
+Dispatch/wait/poll, driven by hand (the daemon's scheduler loop and
+``repro batch`` do the same)::
 
-    import time
     from pathlib import Path
     from repro.serve.requests import normalize_request
     from repro.serve.supervisor import Supervisor
@@ -40,7 +39,7 @@ same loop)::
 
     events = []
     while not events:                        # the heartbeat sweep
-        time.sleep(0.05)
+        sup.wait()                           # until the worker exits
         events = sup.poll()
     assert events[0].outcome == "completed"  # result file written
     assert sup.free_slots() == 2             # slot released
@@ -55,8 +54,9 @@ import shutil
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.serve.journal import record_crc_ok, seal_record
@@ -378,6 +378,33 @@ class Supervisor:
             )
             self._release(slot, crashed=False)
         return events
+
+    def wait(
+        self, timeout: Optional[float] = None, extra: Sequence[Any] = ()
+    ) -> List[Any]:
+        """Block until a worker exits, a lease deadline or slot backoff
+        comes due, an ``extra`` waitable is ready, or ``timeout`` passes;
+        returns the ready ``extra`` objects.  With nothing to wait for it
+        returns at once."""
+        now = time.monotonic()
+        leases = self.in_flight()
+        times = [lease.deadline_mono for lease in leases
+                 if lease.deadline_mono is not None]
+        times += [s.available_at for s in self._slots
+                  if s.lease is None and s.available_at > now]
+        if timeout is not None:
+            times.append(now + timeout)
+        sentinels = [lease.process.sentinel for lease in leases]
+        if not (sentinels or extra or times):
+            return []
+        ready = wait(sentinels + list(extra),
+                     max(0.0, min(times) - now) if times else None)
+        for lease in leases:
+            if lease.process.sentinel in ready:
+                # The pipe closes just before the child can be reaped;
+                # wait that out rather than spin on it.
+                lease.process.join(1.0)
+        return [obj for obj in extra if obj in ready]
 
     @staticmethod
     def _read_result(path: Path) -> Optional[dict]:

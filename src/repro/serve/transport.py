@@ -66,6 +66,10 @@ MAX_FRAME_BYTES = 1_048_576
 #: Read chunk for the incremental frame readers.
 _CHUNK = 65536
 
+#: Pause between ``fetch(wait=True)`` polls when the answer carries no
+#: ``retry_after_sec`` (``not_found``).
+_FETCH_POLL_SEC = 0.25
+
 #: ``rejected`` reasons that mean "try again later" — the server shed
 #: or deferred the work without running it, so resubmission is safe and
 #: expected (DESIGN.md §10 "rejections are retryable").
@@ -462,6 +466,19 @@ def exchange(
     """
     endpoint = parse_endpoint(endpoint)
     responses: List[Dict[str, Any]] = []
+
+    def checked_frame(payload: Dict[str, Any]) -> bytes:
+        frame = encode_frame(payload)
+        if len(frame) - 1 > max_frame_bytes:
+            raise FrameTooLargeError(
+                f"request frame is {len(frame) - 1} bytes "
+                f"(cap {max_frame_bytes})",
+                responses=responses,
+            )
+        return frame
+
+    # Checked before dialling: a refused request costs the peer nothing.
+    first = checked_frame(payloads[0]) if payloads else b""
     try:
         conn = endpoint.connect(timeout=timeout)
     except OSError as exc:
@@ -473,14 +490,8 @@ def exchange(
     with conn:
         assembler = FrameAssembler(max_frame_bytes)
         received: List[Tuple[str, Any]] = []
-        for payload in payloads:
-            frame = encode_frame(payload)
-            if len(frame) - 1 > max_frame_bytes:
-                raise FrameTooLargeError(
-                    f"request frame is {len(frame) - 1} bytes "
-                    f"(cap {max_frame_bytes})",
-                    responses=responses,
-                )
+        for index, payload in enumerate(payloads):
+            frame = checked_frame(payload) if index else first
             try:
                 conn.sendall(frame)
                 while not received:
@@ -613,12 +624,7 @@ class ResilientClient:
         machinery as job submission."""
         return self._run([{"verb": verb}])[0]
 
-    def fetch(
-        self,
-        job_id: str,
-        wait: bool = False,
-        poll_interval_sec: float = 0.25,
-    ) -> Dict[str, Any]:
+    def fetch(self, job_id: str, wait: bool = False) -> Dict[str, Any]:
         """Fetch a job's result by id (the ``fetch`` verb).
 
         With ``wait=False`` (default), one retried exchange: the
@@ -637,7 +643,7 @@ class ResilientClient:
             if not wait or status not in ("pending", "not_found"):
                 return response
             hint = response.get("retry_after_sec")
-            pause = float(hint) if hint else poll_interval_sec
+            pause = float(hint) if hint else _FETCH_POLL_SEC
             remaining = deadline - self._clock()
             if remaining <= 0:
                 metrics().counter("transport.deadline_exhausted").inc()

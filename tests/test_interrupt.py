@@ -28,6 +28,7 @@ from repro.runtime import batch
 from repro.runtime.batch import ExecutorConfig, run_jobs
 from repro.runtime.cache import ProfileCache
 from repro.runtime.jobs import JobSpec
+from repro.serve import supervisor
 from repro.trace.io import save_trace
 
 
@@ -113,7 +114,7 @@ class TestExecutorInterrupt:
         # the loop has reaped job-1.  Its real error survives (no retry
         # once stopping); only job-0 is Interrupted.
         obs.configure(enabled=True)
-        real_wait = batch.wait
+        real_wait = supervisor.wait
 
         def wait_then_interrupt(sentinels, timeout=None):
             real_wait(sentinels[1:], 10.0)  # job-1's worker is exiting
@@ -121,7 +122,7 @@ class TestExecutorInterrupt:
             raise KeyboardInterrupt
 
         monkeypatch.setitem(batch._WORKERS, "test", _fails_job_one)
-        monkeypatch.setattr(batch, "wait", wait_then_interrupt)
+        monkeypatch.setattr(supervisor, "wait", wait_then_interrupt)
         results, _ = run_jobs(_specs(2), ExecutorConfig(workers=2))
         assert results[0].error.error_type == "Interrupted"
         assert results[1].error.error_type == "RuntimeError"

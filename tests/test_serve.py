@@ -8,6 +8,7 @@ child processes are real.
 from __future__ import annotations
 
 import json
+import signal
 import threading
 import time
 
@@ -656,7 +657,6 @@ def daemon_factory(serve_dir):
             socket_path=serve_dir / "serve.sock",
             workers=1,
             queue_limit=8,
-            poll_interval=0.01,
             drain_timeout_sec=10.0,
             fsync=False,
         )
@@ -1008,6 +1008,118 @@ class TestServeDaemon:
         assert status["counts"]["completed"] == 1
         assert status["jobs"][0]["completions"] == 1
         assert "completed" in format_status(status)
+
+
+# ----------------------------------------------------------------------
+# The run loop wakes on events (worker exit, deadlines, intake, signals)
+# ----------------------------------------------------------------------
+def _wait_for(predicate, timeout: float) -> float:
+    """Poll ``predicate`` from the test thread; the time it held."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return time.monotonic()
+        time.sleep(0.005)
+    raise AssertionError("condition not reached in time")
+
+
+def _run_in_thread(daemon: ServeDaemon):
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(daemon.run()),
+                              daemon=True)
+    thread.start()
+    _wait_for(lambda: (daemon.state_dir / "serve.pid").exists(), 10.0)
+    return thread, codes
+
+
+def _stop(daemon: ServeDaemon, thread, codes) -> None:
+    daemon._stop_signal = signal.SIGTERM
+    with daemon._admission:
+        daemon._wake()
+    thread.join(15.0)
+    assert codes == [0]
+
+
+class TestEventWait:
+    def test_idle_run_loop_sleeps_to_its_deadline(self, daemon_factory):
+        daemon = daemon_factory(max_runtime_sec=1.2)
+        ticks = []
+        real_tick = daemon.tick
+        daemon.tick = lambda: (ticks.append(1), real_tick())
+        thread, codes = _run_in_thread(daemon)
+        thread.join(10.0)
+        assert codes == [0]
+        assert len(ticks) <= 3
+
+    def test_intake_wakes_the_loop(self, daemon_factory):
+        daemon = daemon_factory(max_runtime_sec=30)
+        thread, codes = _run_in_thread(daemon)
+        time.sleep(0.2)  # let the loop block in its wait
+        start = time.monotonic()
+        job_id = daemon.admit(_req(0))["job_id"]
+        leased = _wait_for(
+            lambda: daemon.journal.state.jobs[job_id].attempts >= 1, 5.0
+        )
+        assert leased - start < 0.5
+        _stop(daemon, thread, codes)
+
+    def test_freed_slot_takes_queued_work_at_once(self, daemon_factory):
+        # One worker, three queued jobs: each worker exit must both reap
+        # and refill the slot, or the loop blocks with work queued.
+        daemon = daemon_factory(max_runtime_sec=30)
+        thread, codes = _run_in_thread(daemon)
+        for i in range(3):
+            daemon.admit(_req(i, fault="sleep", sleep_sec=0.2))
+        _wait_for(
+            lambda: daemon.journal.state.counts()["completed"] == 3, 5.0
+        )
+        _stop(daemon, thread, codes)
+
+    def test_lease_deadline_wakes_the_loop(self, daemon_factory):
+        daemon = daemon_factory(max_runtime_sec=30)
+        thread, codes = _run_in_thread(daemon)
+        request = _req(0, fault="hang", hang_sec=30.0)
+        request["timeout_sec"] = 0.5
+        job_id = daemon.admit(request)["job_id"]
+        _wait_for(daemon.supervisor.in_flight, 5.0)
+        lease_deadline = daemon.supervisor.in_flight()[0].deadline_mono
+        killed = _wait_for(
+            lambda: daemon.journal.state.jobs[job_id].terminal, 5.0
+        )
+        job = daemon.journal.state.jobs[job_id]
+        assert job.error["error_type"] == "TimeoutError"
+        assert killed - lease_deadline < 0.5
+        _stop(daemon, thread, codes)
+
+    def test_slot_backoff_end_wakes_the_loop(self, daemon_factory):
+        daemon = daemon_factory(max_runtime_sec=30, max_leases=2)
+        daemon.supervisor.backoff_base = 0.3
+        thread, codes = _run_in_thread(daemon)
+        start = time.monotonic()
+        job_id = daemon.admit(_req(0, fault="kill"))["job_id"]
+        # Lease 2 needs no further intake: the loop wakes when the
+        # crashed slot's backoff ends.
+        done = _wait_for(
+            lambda: daemon.journal.state.jobs[job_id].terminal, 5.0
+        )
+        job = daemon.journal.state.jobs[job_id]
+        assert job.error["error_type"] == "WorkerCrashLoop"
+        assert job.attempts == 2
+        assert done - start >= 0.3
+        _stop(daemon, thread, codes)
+
+    def test_idle_daemon_process_exits_at_once_on_sigterm(self, tmp_path):
+        from repro.guard.drill import ServiceUnderTest
+
+        state = tmp_path / "state"
+        argv = ["serve", "run", "--state", state, "--socket",
+                state / "serve.sock", "--workers", "1", "--no-fsync",
+                "--max-runtime-sec", "60"]
+        with ServiceUnderTest(argv, tmp_path / "daemon.log",
+                              ready_timeout=30) as svc:
+            time.sleep(0.3)  # let the loop block in its wait
+            svc.proc.send_signal(signal.SIGTERM)
+            assert svc.proc.wait(timeout=5) == 0
 
 
 # ----------------------------------------------------------------------

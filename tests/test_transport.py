@@ -353,6 +353,16 @@ class TestExchange:
         assert err.value.retryable is False
         assert err.value.responses == []
 
+    def test_oversized_request_never_dials(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            with pytest.raises(FrameTooLargeError):
+                exchange(f"tcp:127.0.0.1:{port}", [{"pad": "x" * 200}],
+                         max_frame_bytes=64)
+            listener.settimeout(0.3)
+            with pytest.raises(socket.timeout):
+                listener.accept()
+
     def test_connect_failure_is_classified(self, tmp_path):
         with pytest.raises(ProtocolError) as err:
             exchange(tmp_path / "missing.sock", [{"i": 0}], timeout=0.5)
@@ -490,7 +500,6 @@ def daemon_factory(tmp_path):
             state_dir=tmp_path / f"state-{index}",
             workers=1,
             queue_limit=16,
-            poll_interval=0.01,
             fsync=False,
             bind=bind,
         )
