@@ -13,9 +13,9 @@ equiprobable bins — :func:`sax_inter_arrival` implements exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.trace.features import arrival_order_deltas
 from repro.trace.records import Trace
@@ -42,8 +42,10 @@ def gaussian_breakpoints(alphabet_size: int) -> np.ndarray:
     equiprobable regions."""
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be >= 2")
-    quantiles = np.arange(1, alphabet_size) / alphabet_size
-    return scipy_stats.norm.ppf(quantiles)
+    inv_cdf = NormalDist().inv_cdf
+    return np.array(
+        [inv_cdf(k / alphabet_size) for k in range(1, alphabet_size)]
+    )
 
 
 def paa(series: np.ndarray, segments: int) -> np.ndarray:

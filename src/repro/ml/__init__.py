@@ -1,7 +1,7 @@
 """A from-scratch numpy neural-network substrate.
 
 The paper trains a multi-layer LSTM state-space model (Fig. 6) in PyTorch
-on a V100.  Offline we have only numpy/scipy, so this subpackage provides
+on a V100.  The program depends on numpy alone, so this subpackage provides
 everything iBoxML needs, implemented from first principles:
 
 * parameter containers and initializers;

@@ -46,6 +46,7 @@ Counters ``executor.jobs_ok`` / ``jobs_failed`` / ``retries`` /
 
 from __future__ import annotations
 
+import importlib
 import random
 import tempfile
 import time
@@ -165,6 +166,16 @@ _WORKERS = {
 #: The job kinds this module can execute (the serve daemon builds its
 #: request vocabulary from this).
 WORKER_KINDS = tuple(_WORKERS)
+
+#: What a lease would otherwise import cold.  Each lease is a fresh fork,
+#: so a cold import costs on every job; loading these here pays once, in
+#: the parent (daemon, shard, ``repro batch``).  numpy 2 imports
+#: ``numpy.random`` lazily, ``np.quantile`` -> ``np.unique`` imports
+#: ``numpy.ma`` on first use, ``np.load``'s zipfile needs
+#: ``encodings.cp437``, and :func:`sweep_worker` needs ``repro.sweep``.
+_LEASE_PRELOAD = ("numpy.random", "numpy.ma", "encodings.cp437", "repro.sweep")
+for _name in _LEASE_PRELOAD:
+    importlib.import_module(_name)
 
 
 def worker_for(kind: str):

@@ -997,6 +997,18 @@ class ServeDaemon:
         # PEP 475 resumes a wait after the handler; the pipe byte ends it.
         self._prev_wakeup_fd = signal.set_wakeup_fd(self._wake_w)
 
+    def _close_wake_pipe(self) -> None:
+        """Give back the previous signal wakeup fd and close the wake
+        pipe; a second call does nothing."""
+        if self._prev_wakeup_fd is not None:
+            signal.set_wakeup_fd(self._prev_wakeup_fd)
+            self._prev_wakeup_fd = None
+        with self._admission:  # no intake write may hit a closed fd
+            if self._wake_w >= 0:
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_w = -1
+
     def _should_stop(self) -> bool:
         if self._stop_signal is not None:
             return True
@@ -1076,13 +1088,7 @@ class ServeDaemon:
                 self._reap()
                 if self.supervisor.busy:
                     self._wait(until=deadline)
-            if self._prev_wakeup_fd is not None:
-                signal.set_wakeup_fd(self._prev_wakeup_fd)
-            with self._admission:  # no intake write may hit a closed fd
-                if self._wake_w >= 0:
-                    os.close(self._wake_r)
-                    os.close(self._wake_w)
-                    self._wake_w = -1
+            self._close_wake_pipe()
             # Checkpoint anything still running: kill the worker, requeue
             # the lease — the job stays pending in the journal, so the
             # next daemon picks it up where this one left off.

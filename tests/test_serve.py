@@ -7,7 +7,10 @@ child processes are real.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
+import os
 import signal
 import threading
 import time
@@ -647,8 +650,9 @@ def serve_dir(tmp_path):
     return tmp_path
 
 
-@pytest.fixture()
-def daemon_factory(serve_dir):
+@contextlib.contextmanager
+def _daemons(serve_dir):
+    """Build daemons on demand; tear every one down on exit."""
     daemons = []
 
     def _make(**overrides):
@@ -665,15 +669,41 @@ def daemon_factory(serve_dir):
         daemons.append(daemon)
         return daemon
 
-    yield _make
-    for daemon in daemons:
-        daemon.supervisor.kill_all()
-        daemon._stop_socket()
-        try:
-            daemon.journal.close()
-        except Exception:
-            pass
-        daemon._lock_file.release()
+    try:
+        yield _make
+    finally:
+        for daemon in daemons:
+            daemon.supervisor.kill_all()
+            daemon._stop_socket()
+            try:
+                daemon.journal.close()
+            except Exception:
+                pass
+            daemon._lock_file.release()
+            daemon._close_wake_pipe()
+
+
+@pytest.fixture()
+def daemon_factory(serve_dir):
+    with _daemons(serve_dir) as make:
+        yield make
+
+
+def _open_fds() -> int:
+    gc.collect()  # close what earlier tests left unreferenced first
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_factory_teardown_closes_every_fd(serve_dir):
+    before = _open_fds()
+    with _daemons(serve_dir) as make:
+        make()
+        assert _open_fds() > before
+    # ``make`` keeps the daemon alive: only its teardown can close its fds.
+    assert _open_fds() == before
 
 
 class TestServeDaemon:

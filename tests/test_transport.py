@@ -11,6 +11,8 @@ determinism.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import random
@@ -486,8 +488,9 @@ def _run_until(daemon: ServeDaemon, predicate, timeout: float = 30.0) -> None:
     raise AssertionError("daemon did not reach the expected state in time")
 
 
-@pytest.fixture()
-def daemon_factory(tmp_path):
+@contextlib.contextmanager
+def _daemons(tmp_path):
+    """Build listening daemons on demand; tear every one down on exit."""
     daemons = []
 
     def make(scheme="unix", **overrides):
@@ -509,15 +512,42 @@ def daemon_factory(tmp_path):
         daemons.append(daemon)
         return daemon
 
-    yield make
-    for daemon in daemons:
-        daemon.supervisor.kill_all()
-        daemon._stop_socket()
-        try:
-            daemon.journal.close()
-        except Exception:
-            pass
-        daemon._lock_file.release()
+    try:
+        yield make
+    finally:
+        for daemon in daemons:
+            daemon.supervisor.kill_all()
+            daemon._stop_socket()
+            try:
+                daemon.journal.close()
+            except Exception:
+                pass
+            daemon._lock_file.release()
+            daemon._close_wake_pipe()
+
+
+@pytest.fixture()
+def daemon_factory(tmp_path):
+    with _daemons(tmp_path) as make:
+        yield make
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+@pytest.mark.parametrize("scheme", ["unix", "tcp"])
+def test_factory_teardown_closes_every_fd(tmp_path, scheme):
+    before = _open_fds()
+    with _daemons(tmp_path) as make:
+        make(scheme)
+        assert _open_fds() > before
+    # ``make`` keeps the daemon alive: only its teardown can close its fds.
+    assert _open_fds() == before
+
+
+def _open_fds() -> int:
+    gc.collect()  # close what earlier tests left unreferenced first
+    return len(os.listdir("/proc/self/fd"))
 
 
 @pytest.mark.parametrize("scheme", ["unix", "tcp"])
