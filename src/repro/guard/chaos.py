@@ -570,22 +570,23 @@ def run_service_campaign(
     ids = job_ids(requests)
     with report.guard():
         kill = report.phase("sigkill")
-        kill["jobs"] = jobs
+        kill.update(jobs=jobs, kill_after_completions=kill_after_completions)
         with _serve(workdir, "daemon-1.log", timeout_sec,
                     workers=workers) as svc:
             svc.submit(requests)
-            kill["completed_before_kill"] = svc.wait_completed(
-                ids, timeout_sec, at_least=kill_after_completions
-            )
+            svc.wait_completed(ids, timeout_sec,
+                               at_least=kill_after_completions)
             svc.kill()
             _note_injection("service", "sigkill", f"pid {svc.pid}")
+            # The daemon is dead, so its journal's count is final.
+            orphaned = jobs - svc.completed(ids)
 
         # Restart: replay must requeue the orphans and finish everything.
         restart = report.phase("restart")
         with _serve(workdir, "daemon-2.log", timeout_sec,
                     workers=workers) as svc:
             svc.wait_completed(ids, timeout_sec)
-            restart["recovered"] = jobs - kill["completed_before_kill"]
+            restart["recovered"] = orphaned
             # Flight-recorder phase: a hung lease is SIGKILLed by its
             # deadline, which must leave a parseable flight dump behind.
             hang_request = {
@@ -676,7 +677,8 @@ def run_fleet_campaign(
     requests = sleep_requests("fleetdrill:sleep", jobs, seed, sleep_sec)
     ids = job_ids(requests)
     facts = report.phase("shard-kill")
-    facts.update(shards=shards, jobs=jobs)
+    facts.update(shards=shards, jobs=jobs,
+                 kill_after_completions=kill_after_completions)
     if bind is not None:
         facts["bind"] = bind
     with report.guard():
@@ -686,9 +688,8 @@ def run_fleet_campaign(
                 owned[response["shard"]] = owned.get(response["shard"], 0) + 1
             victim = facts["victim"] = max(owned, key=owned.get)
             victim_pid = int((state / victim / "serve.pid").read_text())
-            facts["completed_before_kill"] = fleet.wait_completed(
-                ids, timeout_sec, at_least=kill_after_completions
-            )
+            fleet.wait_completed(ids, timeout_sec,
+                                 at_least=kill_after_completions)
             os.kill(victim_pid, signal.SIGKILL)
             _note_injection("fleet", "sigkill", f"shard {victim}")
             fleet.wait_completed(ids, timeout_sec)

@@ -242,16 +242,16 @@ class ServiceUnderTest:
     def wait_completed(
         self, ids: Sequence[str], timeout_sec: float,
         at_least: Optional[int] = None,
-    ) -> int:
-        """Wait until ``at_least`` (default: all) of ``ids`` completed;
-        returns the count then, or raises :class:`DrillFailure`."""
+    ) -> None:
+        """Wait until ``at_least`` (default: all) of ``ids`` completed, or
+        raise :class:`DrillFailure`.  Returns nothing: while the service
+        runs, any count read afterwards is already out of date."""
         want = len(ids) if at_least is None else at_least
         if not wait_for(lambda: self.completed(ids) >= want, timeout_sec):
             raise DrillFailure(
                 f"only {self.completed(ids)}/{len(ids)} jobs completed "
                 f"within {timeout_sec}s (waiting for {want})"
             )
-        return self.completed(ids)
 
     def kill(self, sig: int = signal.SIGKILL) -> None:
         """Send ``sig``; for SIGKILL also wait for the child to die."""

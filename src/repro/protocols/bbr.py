@@ -43,6 +43,11 @@ class BBRSender(Sender):
         super().__init__(*args, **kwargs)
         self.bw_window = bw_window
         self.rtt_window = rtt_window
+        # Monotonic windows of (time, value): a sample is dropped once a
+        # newer one is at least as good, since it can never again be the
+        # window's max (bw) or min (rtt).  What is kept is time-ordered
+        # and ends with the newest sample, so the head is the windowed
+        # extreme and expiring from the left works as before.
         self._bw_samples: Deque[Tuple[float, float]] = deque()
         self._rtt_samples: Deque[Tuple[float, float]] = deque()
         self._delivered_bytes = 0
@@ -63,14 +68,14 @@ class BBRSender(Sender):
         """Current bottleneck-bandwidth estimate (bytes/s)."""
         if not self._bw_samples:
             return self.packet_size / 0.05  # arbitrary pre-estimate
-        return max(bw for _, bw in self._bw_samples)
+        return self._bw_samples[0][1]
 
     @property
     def rt_prop(self) -> float:
         """Current propagation-RTT estimate (seconds)."""
         if not self._rtt_samples:
             return 0.1
-        return min(rtt for _, rtt in self._rtt_samples)
+        return self._rtt_samples[0][1]
 
     def _record_bw_sample(self) -> None:
         now = self.sim.now
@@ -81,12 +86,17 @@ class BBRSender(Sender):
         self._last_delivered = self._delivered_bytes
         self._last_sample_at = now
         if elapsed > 0 and delivered > 0:
-            self._bw_samples.append((now, delivered / elapsed))
+            bw = delivered / elapsed
+            while self._bw_samples and self._bw_samples[-1][1] <= bw:
+                self._bw_samples.pop()
+            self._bw_samples.append((now, bw))
         while self._bw_samples and self._bw_samples[0][0] < now - self.bw_window:
             self._bw_samples.popleft()
 
     def _record_rtt_sample(self, rtt: float) -> None:
         now = self.sim.now
+        while self._rtt_samples and self._rtt_samples[-1][1] >= rtt:
+            self._rtt_samples.pop()
         self._rtt_samples.append((now, rtt))
         while (
             self._rtt_samples

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs
 
@@ -28,18 +28,16 @@ class Event:
     already-fired event (a stale timer handle, say) cannot skew the count.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., None],
         args: tuple,
         sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -53,11 +51,6 @@ class Event:
         sim = self._sim
         if sim is not None:
             sim._cancelled_pending += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -77,7 +70,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Event] = []
+        # Entries are (time, seq, event) so heapq orders them by
+        # comparing a float and an int in C; seq is unique, so the event
+        # itself is never compared.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -107,8 +103,8 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        event = Event(time, next(self._counter), callback, args, sim=self)
-        heapq.heappush(self._heap, event)
+        event = Event(time, callback, args, sim=self)
+        heapq.heappush(self._heap, (time, next(self._counter), event))
         return event
 
     @staticmethod
@@ -140,10 +136,9 @@ class Simulator:
         try:
             with obs.span("sim.run", until=until) as run_span:
                 while heap and not self._stopped:
-                    event = heap[0]
-                    if event.time > until:
+                    if heap[0][0] > until:
                         break
-                    pop(heap)
+                    event = pop(heap)[2]
                     event._sim = None
                     if event.cancelled:
                         self._cancelled_pending -= 1
@@ -167,7 +162,7 @@ class Simulator:
         """Process a single event.  Returns ``False`` if the calendar is empty."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)
+            event = heapq.heappop(heap)[2]
             event._sim = None
             if event.cancelled:
                 self._cancelled_pending -= 1
